@@ -2,8 +2,8 @@
 Brute-force oracle and the inductive board collapse
 ===================================================
 
-A depth-first enumerator counts nonattacking placements on any explicit
-set of squares, for any move family.  Small boards cross-check the closed
+An exact counter takes nonattacking placements on any explicit set of
+squares, for any piece with two move directions.  Small boards cross-check the closed
 forms, and a carefully chosen subset of S_m collapses onto S_{m-1}.
 """
 
@@ -29,7 +29,9 @@ print("(1,1) vs (4,4), bishop:", attacks((1, 1), (4, 4), BISHOP_MOVES))
 print("(1,1) vs (1,5), bishop:", attacks((1, 1), (1, 5), BISHOP_MOVES))
 print("(1,1) vs (1,5), anassa:", attacks((1, 1), (1, 5), ANASSA_MOVES))
 
-# The enumerator works square by square, tracking which attack lines are
+# A two-direction piece puts at most one piece on each of its lines, so a
+# placement matches lines of one family to lines of the other.  The counter
+# goes one line at a time, tracking which lines of the other family are
 # taken.  placement_counts returns the whole profile (k = 0, 1, ...).
 board = square_board(4)
 print("\nbishop profile on S_4:", placement_counts(board, BISHOP_MOVES))

@@ -1,11 +1,11 @@
-"""Boards, ride-style pieces, and a brute-force placement counter.
+"""Boards, ride-style pieces, and an exact placement counter.
 
 Squares are (column, row) pairs, both 1-based, row 1 at the bottom.  A piece
 is a set of move directions; it attacks along the full line spanned by each
 direction, with no blocking (placements are counted, so every other piece on
-a shared line is itself a mutual attacker).  The exhaustive counter here is
-deliberately simple: it exists to cross-check the closed-form counts on
-small boards, not to be fast on large ones.
+a shared line is itself a mutual attacker).  The counter here uses no closed
+form: for a piece with two directions it matches the two families of lines,
+one line at a time, so it serves as an independent check of the formulas.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Iterable
 
 Square = tuple[int, int]
@@ -111,34 +111,56 @@ class Placement:
             raise ValueError("occupied squares attack each other")
 
 
-@cache
+# Eight covers every board one verify step holds at once: the square board
+# for both pieces, its two bishop colors, and both reduced boards with the
+# board one size down.
+@lru_cache(maxsize=8)
+def _profile(board: Board, moves: MoveSet) -> dict[tuple[int, int], int]:
+    """Nonattacking placement counts on ``board``, keyed by (size, below).
+
+    ``below`` is the number of occupied squares strictly below the main
+    diagonal (row < column).  A piece with two directions holds at most one
+    piece on each line of either family, so a placement is a matching between
+    the two line families.  The search steps over the lines of the larger
+    family, longest first; its state is the set of lines used in the other
+    family, and a line leaves the state once no later step touches it.
+    """
+    if len(moves.moves) != 2:
+        raise ValueError(f"the oracle needs two move directions, got {len(moves.moves)}")
+    squares = list(board.squares)
+    keys = [moves.line_keys(sq) for sq in squares]
+    if len({b for _, b in keys}) > len({a for a, _ in keys}):
+        keys = [(b, a) for a, b in keys]
+    lines: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    bits: dict[int, int] = {}
+    for (c, r), (step, other) in zip(squares, keys):
+        lines[step].append((bits.setdefault(other, 1 << len(bits)), int(r < c)))
+    order = sorted(lines.values(), key=len, reverse=True)
+    last = {b: i for i, line in enumerate(order) for b, _ in line}
+    states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+    for i, line in enumerate(order):
+        keep = sum(b for b, j in last.items() if j > i)
+        grown: dict[int, dict[tuple[int, int], int]] = defaultdict(lambda: defaultdict(int))
+        for used, poly in states.items():
+            for b, ds, db in [(0, 0, 0)] + [(b, 1, under) for b, under in line if not used & b]:
+                target = grown[(used | b) & keep]
+                for (size, below), n in poly.items():
+                    target[size + ds, below + db] += n
+        states = grown
+    return dict(states[0])
+
+
 def placement_counts(board: Board, moves: MoveSet) -> tuple[int, ...]:
     """Counts of nonattacking placements on ``board`` by size.
 
     Entry j is the number of j-piece placements; the tuple stops at the
-    largest feasible size.  Depth-first search over squares in a fixed order,
-    pruning any square whose line (for any move direction) is already taken.
+    largest feasible size.  Only pieces with two move directions are
+    supported.
     """
-    squares = sorted(board.squares)
-    keys = [moves.line_keys(sq) for sq in squares]
-    counts = [1] + [0] * len(squares)
-    used: list[set[int]] = [set() for _ in moves.moves]
-
-    def extend(start: int, size: int) -> None:
-        for i in range(start, len(squares)):
-            ks = keys[i]
-            if any(k in u for k, u in zip(ks, used)):
-                continue
-            counts[size + 1] += 1
-            for k, u in zip(ks, used):
-                u.add(k)
-            extend(i + 1, size + 1)
-            for k, u in zip(ks, used):
-                u.discard(k)
-
-    extend(0, 0)
-    while counts and counts[-1] == 0:
-        counts.pop()
+    profile = _profile(board, moves)
+    counts = [0] * (max(size for size, _ in profile) + 1)
+    for (size, _), n in profile.items():
+        counts[size] += n
     return tuple(counts)
 
 
@@ -150,45 +172,13 @@ def count_nonattacking(board: Board, moves: MoveSet, k: int) -> int:
     return profile[k] if k < len(profile) else 0
 
 
-@cache
-def _below_diagonal_profile(m: int) -> dict[tuple[int, int], int]:
-    """Anassa placement counts on the m x m board, keyed by (size, below).
-
-    ``below`` is the number of occupied squares strictly below the main
-    diagonal (row < column).
-    """
-    board = square_board(m)
-    moves = ANASSA_MOVES
-    squares = sorted(board.squares)
-    keys = [moves.line_keys(sq) for sq in squares]
-    below_flag = [1 if r < c else 0 for c, r in squares]
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    counts[0, 0] = 1
-    used: list[set[int]] = [set() for _ in moves.moves]
-
-    def extend(start: int, size: int, below: int) -> None:
-        for i in range(start, len(squares)):
-            ks = keys[i]
-            if any(k in u for k, u in zip(ks, used)):
-                continue
-            counts[size + 1, below + below_flag[i]] += 1
-            for k, u in zip(ks, used):
-                u.add(k)
-            extend(i + 1, size + 1, below + below_flag[i])
-            for k, u in zip(ks, used):
-                u.discard(k)
-
-    extend(0, 0, 0)
-    return dict(counts)
-
-
 def count_nonattacking_below_diag(m: int, k: int, p: int) -> int:
     """Anassa placements on the m x m board: k pieces, exactly p below the diagonal."""
     if m < 0:
         raise ValueError(f"board size must be >= 0, got {m}")
     if k < 0 or p < 0:
         raise ValueError("piece counts must be >= 0")
-    return _below_diagonal_profile(m).get((k, p), 0)
+    return _profile(square_board(m), ANASSA_MOVES).get((k, p), 0)
 
 
 def bishop_color_board(m: int, color: str) -> Board:

@@ -59,7 +59,7 @@ def _quartic(m: int) -> int:
 
 def test_criterion_1_bishop_oracle_equivalence():
     failures = []
-    for m in range(7):
+    for m in range(9):
         board = square_board(m)
         for k in range(max(2 * m - 2, 0) + 1):
             if bishops(m, k) != count_nonattacking(board, BISHOP_MOVES, k):
@@ -72,22 +72,22 @@ def test_criterion_1_bishop_oracle_equivalence():
         failures.append("eight-board one-piece count")
     if not (bishops(8, 2) == _quartic(8) == 1736):
         failures.append("eight-board two-piece count")
-    _report(1, "bishop closed form = brute force (m <= 6), plus m = 8 spot values", failures)
+    _report(1, "bishop closed form = brute force (m <= 8), plus m = 8 spot values", failures)
 
 
 def test_criterion_2_anassa_oracle_equivalence():
     failures = []
-    for m in range(7):
+    for m in range(9):
         board = square_board(m)
         for k in range(m + 1):
             if anassas(m, k) != count_nonattacking(board, ANASSA_MOVES, k):
                 failures.append(("total", m, k))
-    for m in range(6):
+    for m in range(8):
         for k in range(m + 1):
             for p in range(k + 1):
                 if anassas_split(m, k, p) != count_nonattacking_below_diag(m, k, p):
                     failures.append(("split", m, k, p))
-    _report(2, "anassa closed forms = brute force (m <= 6; diagonal split m <= 5)", failures)
+    _report(2, "anassa closed forms = brute force (m <= 8; diagonal split m <= 7)", failures)
 
 
 def test_criterion_3_formula_cross_agreement():
@@ -120,10 +120,10 @@ def test_criterion_3_formula_cross_agreement():
 def test_criterion_4_inductive_collapse():
     failures = []
     for piece, bound in (("bishop", lambda m: max(2 * m - 2, m)), ("anassa", lambda m: m)):
-        for m in range(1, 7):
+        for m in range(1, 9):
             if not verify_collapse(m, piece, bound(m)):
                 failures.append((piece, m))
-    _report(4, "removing the inductive subset collapses counts one board size down", failures)
+    _report(4, "removing the inductive subset collapses counts one board size down (m <= 8)", failures)
 
 
 def test_criterion_5_combinatorial_types():

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chesscount import (
@@ -153,6 +153,32 @@ def test_placement_counts_profile():
     assert profile == (1, 4, 3)
 
 
+def test_oracle_needs_two_directions():
+    board = square_board(3)
+    one = MoveSet(((0, 1),))
+    three = MoveSet(((0, 1), (1, 0), (1, 1)))
+    for moves in (one, three):
+        with pytest.raises(ValueError):
+            placement_counts(board, moves)
+        # The attack relation itself still takes any move set.
+        assert attacks((1, 1), (1, 3), moves)
+        assert is_nonattacking([(1, 1), (2, 3)], moves)
+        Placement(board, moves, frozenset({(1, 1), (2, 3)}))
+    assert not attacks((1, 1), (2, 1), one)
+    assert attacks((1, 1), (2, 1), three)
+
+
+@settings(deadline=None)
+@given(st.frozensets(st.tuples(st.integers(1, 4), st.integers(1, 4))))
+def test_counter_matches_subset_filtering_on_irregular_boards(squares):
+    board = Board(4, squares)
+    for moves in (BISHOP_MOVES, ANASSA_MOVES):
+        profile = placement_counts(board, moves)
+        for k in range(len(profile) + 1):
+            want = _count_by_combinations(board, moves, k)
+            assert (profile[k] if k < len(profile) else 0) == want, (sorted(squares), k)
+
+
 @given(st.integers(0, 4), st.integers(0, 30))
 def test_counts_are_nonnegative(m, k):
     assert count_nonattacking(square_board(m), ANASSA_MOVES, k) >= 0
@@ -207,6 +233,18 @@ def test_below_diagonal_sums_to_total():
             total = sum(count_nonattacking_below_diag(m, k, p) for p in range(k + 1))
             assert total == count_nonattacking(board, ANASSA_MOVES, k), (m, k)
             assert count_nonattacking_below_diag(m, k, k + 1) == 0
+
+
+def test_below_diagonal_matches_subset_filtering():
+    for m in range(5):
+        squares = sorted(square_board(m).squares)
+        for k in range(m + 2):
+            split = [0] * (k + 2)
+            for combo in itertools.combinations(squares, k):
+                if all(not attacks(a, b, ANASSA_MOVES) for a, b in itertools.combinations(combo, 2)):
+                    split[sum(r < c for c, r in combo)] += 1
+            for p, want in enumerate(split):
+                assert count_nonattacking_below_diag(m, k, p) == want, (m, k, p)
 
 
 # --- inductive subsets and board collapse ---
