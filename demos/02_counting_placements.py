@@ -13,10 +13,10 @@ from chesscount import (
     anassas_diagonal,
     anassas_split,
     bishops,
-    bishops_by_convolution,
     black_rooks,
     count_table,
     max_pieces,
+    rook_rows,
     white_rooks,
 )
 
@@ -31,7 +31,12 @@ assert bishops(8, 1) == 64
 # rotate the board 45 degrees and the diagonals become ranks and files.
 k = 3
 by_colors = sum(black_rooks(8, j) * white_rooks(8, k - j) for j in range(k + 1))
-assert by_colors == bishops(8, k) == bishops_by_convolution(8, k)
+# The rook counts also follow a recurrence that adds one board size at a
+# time; rook_rows yields each size's row of counts.
+*_, black_row = rook_rows(8, "black")
+*_, white_row = rook_rows(8, "white")
+by_rows = sum(black_row[j] * white_row[k - j] for j in range(k + 1))
+assert by_colors == bishops(8, k) == by_rows
 print(f"\ncolor-class convolution reproduces bishops(8, {k}) = {by_colors}")
 
 # Anassa counts refine by p, the number of pieces strictly below the

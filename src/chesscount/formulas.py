@@ -1,20 +1,27 @@
-"""Closed forms and recurrences for nonattacking placement counts.
+"""Closed forms and row recurrences for nonattacking placement counts.
 
 Counts k nonattacking bishops or anassas (moves {(0,1), (1,1)}) on the
 m x m board.  Bishop counts factor through rook counts on the two
 one-color boards; anassa counts additionally split by how many pieces sit
-strictly below the main diagonal.  Independent routes to the same number
-are kept separate on purpose so that they can cross-check each other.
+strictly below the main diagonal.  The recurrences on the board size are
+row generators that keep only the current row and build :func:`count_table`;
+the closed forms, kept separate on purpose, cross-check them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 
 from .kernel import binomial, falling_factorial, parity, stirling2
+
+
+def _rooks(m: int, k: int, half: int) -> int:
+    if k < 0:
+        raise ValueError(f"piece count must be >= 0, got {k}")
+    return sum(binomial(half, j) * stirling2(m - j, m - k) for j in range(k + 1))
 
 
 def white_rooks(m: int, k: int) -> int:
@@ -25,47 +32,39 @@ def white_rooks(m: int, k: int) -> int:
     C(ceil(m/2), j) * S(m-j, m-k).  Defined for every integer m; negative m
     evaluates the same expression through the extended Stirling table.
     """
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    half = (m + 1) // 2
-    return sum(binomial(half, j) * stirling2(m - j, m - k) for j in range(k + 1))
+    return _rooks(m, k, (m + 1) // 2)
 
 
 def black_rooks(m: int, k: int) -> int:
     """Companion to :func:`white_rooks` for the black-square board."""
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    half = m // 2
-    return sum(binomial(half, j) * stirling2(m - j, m - k) for j in range(k + 1))
+    return _rooks(m, k, m // 2)
 
 
-@cache
-def white_rooks_rec(m: int, k: int) -> int:
-    """White-square rook counts by recurrence on the board size.
+def rook_rows(m_max: int, color: str) -> Iterator[tuple[int, ...]]:
+    """One-color rook counts by recurrence on the board size, row by row.
 
-    R(m, k) = R(m-1, k) + (m - k + parity(m)) * R(m-1, k-1), R(m, 0) = 1,
-    R(0, k) = 0 for k >= 1: the new longest diagonal of the odd step (or the
-    second-longest of the even step) offers m - k + parity(m) free squares.
+    Yields (R(m, 0), R(m, 1), ...) for m = 0 .. m_max, each row ending at
+    its last nonzero entry.  R(0, 0) = 1 and R(m, k) = R(m-1, k)
+    + (m - k + s) * R(m-1, k-1), with s = parity(m) on the white board and
+    1 - parity(m) on the black one: the diagonal that step m adds to the
+    board offers m - k + s squares free of the other k - 1 rooks.
+    Raises ValueError, when iterated, for m_max < 0 or an unknown color.
     """
-    if m < 0 or k < 0:
-        raise ValueError("white_rooks_rec needs m, k >= 0")
-    if k == 0:
-        return 1
-    if m == 0:
-        return 0
-    return white_rooks_rec(m - 1, k) + (m - k + parity(m)) * white_rooks_rec(m - 1, k - 1)
-
-
-@cache
-def black_rooks_rec(m: int, k: int) -> int:
-    """Black-square rook counts by recurrence on the board size."""
-    if m < 0 or k < 0:
-        raise ValueError("black_rooks_rec needs m, k >= 0")
-    if k == 0:
-        return 1
-    if m == 0:
-        return 0
-    return black_rooks_rec(m - 1, k) + (m - k + 1 - parity(m)) * black_rooks_rec(m - 1, k - 1)
+    if m_max < 0:
+        raise ValueError(f"rook_rows needs m_max >= 0, got {m_max}")
+    if color not in ("white", "black"):
+        raise ValueError(f"color must be 'white' or 'black', got {color!r}")
+    row = (1,)
+    yield row
+    for m in range(1, m_max + 1):
+        s = parity(m) if color == "white" else 1 - parity(m)
+        row = tuple(
+            above + (m - k + s) * left
+            for k, (above, left) in enumerate(zip(row + (0,), (0,) + row))
+        )
+        if not row[-1]:  # only the new top entry can vanish
+            row = row[:-1]
+        yield row
 
 
 def white_rooks_alt(m: int, k: int) -> int:
@@ -95,30 +94,19 @@ def white_rooks_alt(m: int, k: int) -> int:
 def bishops(m: int, k: int) -> int:
     """Nonattacking k-bishop placements on the m x m board, closed form.
 
-    Triple sum pairing every split of the k bishops between the two colors;
-    defined for every integer m (negative m evaluates the same expression,
-    e.g. m = -1 gives k!).
+    Convolution of the two one-color rook counts over every split of the k
+    bishops between the colors; defined for every integer m (negative m
+    evaluates the same expression, e.g. m = -1 gives k!).
     """
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
-    half_lo, half_hi = m // 2, (m + 1) // 2
     total = 0
     for j in range(k + 1):
-        left = sum(binomial(half_lo, i) * stirling2(m - i, m - j) for i in range(j + 1))
+        left = black_rooks(m, j)
         if not left:
             continue
-        right = sum(
-            binomial(half_hi, l) * stirling2(m - l, m - k + j) for l in range(k - j + 1)
-        )
-        total += left * right
+        total += left * white_rooks(m, k - j)
     return total
-
-
-def bishops_by_convolution(m: int, k: int) -> int:
-    """Bishop counts as the convolution of the two one-color rook counts."""
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    return sum(black_rooks(m, j) * white_rooks(m, k - j) for j in range(k + 1))
 
 
 def bishops_classic(m: int, k: int) -> int:
@@ -163,36 +151,36 @@ def anassas_split(m: int, k: int, p: int) -> int:
     )
 
 
-@cache
-def anassas_split_rec(m: int, k: int, p: int) -> int:
+def _split_at(tri: tuple[tuple[int, ...], ...], k: int, p: int) -> int:
+    return tri[k][p] if 0 <= p <= k < len(tri) else 0
+
+
+def anassa_split_rows(m_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Diagonal-split anassa counts by recurrence on the board size.
 
+    Yields, for m = 0 .. m_max, the triangle whose row k (k <= m) holds
+    A(m, k, p) for p = 0 .. k; entries outside it are 0.  A(0, 0, 0) = 1 and
     A(m,k,p) = A(m-1,k,p) + (m-k+1) A(m-1,k-1,p) + (m-p) A(m-1,k-1,p-1)
     + (m-p)(m-k+1) A(m-1,k-2,p-1): the two new-square choices are the new
     corner column below the diagonal and the new top row on or above it.
+    Raises ValueError, when iterated, for m_max < 0.
     """
-    if m < 0:
-        raise ValueError(f"anassas_split_rec needs m >= 0, got {m}")
-    if k < 0 or p < 0:
-        return 0
-    if m == 0:
-        return 1 if k == 0 and p == 0 else 0
-    if k == 0:
-        return 1 if p == 0 else 0
-    if k == 1:
-        if p == 0:
-            return stirling2(m + 1, m)
-        if p == 1:
-            return stirling2(m, m - 1)
-        return 0
-    if p == 0:
-        return stirling2(m + 1, m - k + 1)
-    return (
-        anassas_split_rec(m - 1, k, p)
-        + (m - k + 1) * anassas_split_rec(m - 1, k - 1, p)
-        + (m - p) * anassas_split_rec(m - 1, k - 1, p - 1)
-        + (m - p) * (m - k + 1) * anassas_split_rec(m - 1, k - 2, p - 1)
-    )
+    if m_max < 0:
+        raise ValueError(f"anassa_split_rows needs m_max >= 0, got {m_max}")
+    tri: tuple[tuple[int, ...], ...] = ((1,),)
+    yield tri
+    for m in range(1, m_max + 1):
+        tri = tuple(
+            tuple(
+                _split_at(tri, k, p)
+                + (m - k + 1) * _split_at(tri, k - 1, p)
+                + (m - p) * _split_at(tri, k - 1, p - 1)
+                + (m - p) * (m - k + 1) * _split_at(tri, k - 2, p - 1)
+                for p in range(k + 1)
+            )
+            for k in range(m + 1)
+        )
+        yield tri
 
 
 def anassas(m: int, k: int) -> int:
@@ -284,15 +272,26 @@ class CountTable:
         return [value for row in self.rows for value in row]
 
 
+def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def count_table(piece: str, m_max: int, rect: bool = False) -> CountTable:
-    """Build the count triangle for board sizes 0 .. m_max."""
-    if piece not in ("bishop", "anassa"):
+    """Build the count triangle for board sizes 0 .. m_max (ValueError if < 0).
+
+    Bishop rows convolve the black and white rows of :func:`rook_rows`;
+    anassa rows sum the triangles of :func:`anassa_split_rows` over p.
+    """
+    if piece == "bishop":
+        rows = map(_convolve, rook_rows(m_max, "black"), rook_rows(m_max, "white"))
+    elif piece == "anassa":
+        rows = (tuple(map(sum, tri)) for tri in anassa_split_rows(m_max))
+    else:
         raise ValueError(f"unknown piece {piece!r}")
-    if m_max < 0:
-        raise ValueError(f"table needs m_max >= 0, got {m_max}")
-    width = max_pieces(piece, m_max) + 1
-    rows = []
-    for m in range(m_max + 1):
-        upto = width if rect else max_pieces(piece, m) + 1
-        rows.append(tuple(count(piece, m, k) for k in range(upto)))
-    return CountTable(piece, m_max, tuple(rows))
+    # Each row already ends at max_pieces(piece, m); only rect pads it.
+    width = max_pieces(piece, m_max) + 1 if rect else 0
+    return CountTable(piece, m_max, tuple(row + (0,) * (width - len(row)) for row in rows))

@@ -29,6 +29,11 @@ from .kernel import (
 )
 
 
+def _at(row: tuple[int, ...], k: int) -> int:
+    """Entry k of a recurrence row, 0 past its end."""
+    return row[k] if k < len(row) else 0
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -165,16 +170,13 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("one-color rook counts: three routes agree")
-    for m in range(m_max + 1):
+    colors = [formulas.rook_rows(m_max, c) for c in ("white", "black")] if m_max >= 0 else []
+    for m, (white, black) in enumerate(zip(*colors)):
         for k in range(11):
             closed = formulas.white_rooks(m, k)
-            r.compare(f"white rec m={m} k={k}", formulas.white_rooks_rec(m, k), closed)
+            r.compare(f"white rec m={m} k={k}", _at(white, k), closed)
             r.compare(f"white alt m={m} k={k}", formulas.white_rooks_alt(m, k), closed)
-            r.compare(
-                f"black rec m={m} k={k}",
-                formulas.black_rooks_rec(m, k),
-                formulas.black_rooks(m, k),
-            )
+            r.compare(f"black rec m={m} k={k}", _at(black, k), formulas.black_rooks(m, k))
     results.append(r)
 
     r = CheckResult("even boards: the two colors agree")
@@ -185,24 +187,24 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
             )
     results.append(r)
 
+    small = min(m_max, 12)
     r = CheckResult("bishop counts: three routes agree")
-    for m in range(min(m_max, 12) + 1):
+    # Table rows convolve the black and white rook_rows of each size.
+    bishop_rows = formulas.count_table("bishop", small).rows if small >= 0 else ()
+    for m, row in enumerate(bishop_rows):
         for k in range(11):
             closed = formulas.bishops(m, k)
-            r.compare(
-                f"convolution m={m} k={k}", formulas.bishops_by_convolution(m, k), closed
-            )
+            r.compare(f"convolution m={m} k={k}", _at(row, k), closed)
             r.compare(f"classic m={m} k={k}", formulas.bishops_classic(m, k), closed)
     results.append(r)
 
     r = CheckResult("anassa split: recurrence, closed form, and total agree")
-    for m in range(min(m_max, 12) + 1):
+    for m, tri in enumerate(formulas.anassa_split_rows(small) if small >= 0 else ()):
         for k in range(k_max + 1):
+            split = tri[k] if k <= m else ()
             for p in range(k + 1):
                 r.compare(
-                    f"rec m={m} k={k} p={p}",
-                    formulas.anassas_split_rec(m, k, p),
-                    formulas.anassas_split(m, k, p),
+                    f"rec m={m} k={k} p={p}", _at(split, p), formulas.anassas_split(m, k, p)
                 )
             r.compare(
                 f"sum m={m} k={k}",

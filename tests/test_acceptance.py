@@ -17,10 +17,10 @@ from chesscount import (
     BISHOP_MOVES,
     anassa_coeffs,
     anassa_quasipolynomial,
+    anassa_split_rows,
     anassas,
     anassas_diagonal,
     anassas_split,
-    anassas_split_rec,
     assoc_stirling2,
     basis_change_coeff,
     binomial,
@@ -28,21 +28,22 @@ from chesscount import (
     bishop_coeffs,
     bishop_quasipolynomial,
     bishops,
-    bishops_by_convolution,
     bishops_classic,
     black_rooks,
-    black_rooks_rec,
     count_nonattacking,
     count_nonattacking_below_diag,
+    count_table,
     divide_by_falling_factorial,
     effective_period,
+    rook_rows,
     square_board,
     stirling2,
     verify_collapse,
     white_rooks,
     white_rooks_alt,
-    white_rooks_rec,
 )
+
+from helpers import entry
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -92,25 +93,26 @@ def test_criterion_2_anassa_oracle_equivalence():
 
 def test_criterion_3_formula_cross_agreement():
     failures = []
-    for m in range(13):
+    for m, row in enumerate(count_table("bishop", 12).rows):
         for k in range(11):
             closed = bishops(m, k)
-            if bishops_by_convolution(m, k) != closed:
+            if entry(row, k) != closed:
                 failures.append(("bishop convolution", m, k))
             if bishops_classic(m, k) != closed:
                 failures.append(("bishop classic", m, k))
-    for m in range(21):
+    for m, (white, black) in enumerate(zip(rook_rows(20, "white"), rook_rows(20, "black"))):
         for k in range(11):
-            if white_rooks_rec(m, k) != white_rooks(m, k):
+            if entry(white, k) != white_rooks(m, k):
                 failures.append(("white rec", m, k))
-            if black_rooks_rec(m, k) != black_rooks(m, k):
+            if entry(black, k) != black_rooks(m, k):
                 failures.append(("black rec", m, k))
             if white_rooks_alt(m, k) != white_rooks(m, k):
                 failures.append(("white alt", m, k))
-    for m in range(13):
+    for m, tri in enumerate(anassa_split_rows(12)):
         for k in range(9):
             for p in range(k + 1):
-                if anassas_split_rec(m, k, p) != anassas_split(m, k, p):
+                got = tri[k][p] if k <= m else 0
+                if got != anassas_split(m, k, p):
                     failures.append(("anassa split rec", m, k, p))
             if sum(anassas_split(m, k, p) for p in range(k + 1)) != anassas(m, k):
                 failures.append(("anassa split sum", m, k))

@@ -169,6 +169,42 @@ def test_verify_fast_suites_pass(capsys):
     assert "0 failures" in out and "FAIL" not in out
 
 
+VERIFY_ALL = """\
+ok    bishop closed form vs brute force (39 checks)
+ok    anassa closed form vs brute force (33 checks)
+ok    anassa diagonal split vs brute force (77 checks)
+ok    bishop counts factor over the two colors (27 checks)
+ok    extended binomials: Pascal rule and symmetry (881 checks)
+ok    extended Stirling: first/second kind duality (169 checks)
+ok    first-kind alternating row sums vanish (13 checks)
+ok    central binomial alternating sum (21 checks)
+ok    second-kind Stirling via block-size expansion (189 checks)
+ok    one-color rook counts: three routes agree (693 checks)
+ok    even boards: the two colors agree (121 checks)
+ok    bishop counts: three routes agree (286 checks)
+ok    anassa split: recurrence, closed form, and total agree (819 checks)
+ok    two bishops: explicit quartic (21 checks)
+ok    size -1 evaluates to k! for both pieces (18 checks)
+ok    saturated anassa count: two summations and the closed form (18 checks)
+ok    binomial basis change identity (825 checks)
+ok    inductive subset collapse (12 checks)
+ok    bishop quasipolynomial round trip (55 checks)
+ok    anassa polynomial round trip (55 checks)
+ok    one-color rook coefficient round trip (110 checks)
+ok    coefficient structure: periods, divisibility, denominators (44 checks)
+summary: 22 check groups, 4526 checks, 0 failures
+"""
+
+
+def test_verify_output_is_frozen(capsys):
+    # Every group keeps its name and its number of checked points.
+    assert cli.main(["verify", "all"]) == 0
+    assert capsys.readouterr().out == VERIFY_ALL
+    assert cli.main(["verify", "identities", "--m-max", "28", "--k-max", "10"]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == "summary: 13 check groups, 4849 checks, 0 failures"
+
+
 def test_verify_reports_failures(monkeypatch, capsys):
     monkeypatch.setattr("chesscount.formulas.white_rooks_alt", lambda m, k: -7)
     assert cli.main(["verify", "identities", "--m-max", "4", "--k-max", "2"]) == 1

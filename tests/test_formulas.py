@@ -9,28 +9,30 @@ from hypothesis import strategies as st
 from chesscount import (
     ANASSA_MOVES,
     BISHOP_MOVES,
+    anassa_split_rows,
     anassas,
     anassas_by_split_sum,
     anassas_diagonal,
     anassas_split,
-    anassas_split_rec,
     binomial,
     bishop_color_board,
     bishops,
-    bishops_by_convolution,
     bishops_classic,
+    black_rook_coeffs,
     black_rooks,
-    black_rooks_rec,
     count,
     count_nonattacking,
     count_table,
     max_pieces,
+    rook_rows,
     square_board,
     stirling2,
+    white_rook_coeffs,
     white_rooks,
     white_rooks_alt,
-    white_rooks_rec,
 )
+
+from helpers import entry
 
 # --- one-color rook counts ---
 
@@ -59,12 +61,23 @@ def test_rook_edge_rows():
 
 
 def test_rook_three_routes_agree():
-    for m in range(17):
+    rows = zip(rook_rows(16, "white"), rook_rows(16, "black"))
+    for m, (white, black) in enumerate(rows):
         for k in range(11):
             closed = white_rooks(m, k)
-            assert white_rooks_rec(m, k) == closed, (m, k)
+            assert entry(white, k) == closed, (m, k)
             assert white_rooks_alt(m, k) == closed, (m, k)
-            assert black_rooks_rec(m, k) == black_rooks(m, k), (m, k)
+            assert entry(black, k) == black_rooks(m, k), (m, k)
+
+
+def test_rook_rows_reach_deep_boards():
+    # Far past the depth where a recursive recurrence overflows the stack.
+    m = 1100
+    for color, coeffs in (("white", white_rook_coeffs), ("black", black_rook_coeffs)):
+        *_, last = rook_rows(m, color)
+        for k in range(5):
+            want = sum(c * m**d for d, c in enumerate(coeffs(k, m % 2)))
+            assert last[k] == want, (color, k)
 
 
 def test_even_boards_have_equal_colors():
@@ -83,9 +96,12 @@ def test_rook_validation():
     with pytest.raises(ValueError):
         white_rooks(3, -1)
     with pytest.raises(ValueError):
-        white_rooks_rec(-1, 0)
-    with pytest.raises(ValueError):
         white_rooks_alt(-1, 0)
+    for color in ("white", "black"):
+        with pytest.raises(ValueError):
+            next(rook_rows(-1, color))
+    with pytest.raises(ValueError):
+        next(rook_rows(3, "red"))
 
 
 # --- bishops ---
@@ -111,10 +127,12 @@ def test_bishop_one_piece_is_board_area():
 
 
 def test_bishop_three_routes_agree():
-    for m in range(13):
+    rows = zip(rook_rows(12, "black"), rook_rows(12, "white"))
+    for m, (black, white) in enumerate(rows):
         for k in range(11):
             closed = bishops(m, k)
-            assert bishops_by_convolution(m, k) == closed, (m, k)
+            by_rows = sum(entry(black, j) * entry(white, k - j) for j in range(k + 1))
+            assert by_rows == closed, (m, k)
             assert bishops_classic(m, k) == closed, (m, k)
 
 
@@ -127,7 +145,6 @@ def test_bishop_counts_vanish_beyond_feasibility():
 def test_bishop_negative_one_gives_factorials():
     for k in range(9):
         assert bishops(-1, k) == math.factorial(k)
-        assert bishops_by_convolution(-1, k) == math.factorial(k)
 
 
 def test_bishop_validation():
@@ -183,14 +200,17 @@ def test_anassa_split_vanishes_beyond_k():
         for k in range(5):
             for p in range(k + 1, k + 4):
                 assert anassas_split(m, k, p) == 0
-                assert anassas_split_rec(m, k, p) == 0
+    # The recurrence rows hold only p <= k <= m; every entry past them is 0.
+    for m, tri in enumerate(anassa_split_rows(8)):
+        assert [len(split) for split in tri] == list(range(1, m + 2))
 
 
 def test_anassa_split_recurrence_matches_closed_form():
-    for m in range(13):
+    for m, tri in enumerate(anassa_split_rows(12)):
         for k in range(9):
             for p in range(k + 1):
-                assert anassas_split_rec(m, k, p) == anassas_split(m, k, p), (m, k, p)
+                got = tri[k][p] if k <= m else 0
+                assert got == anassas_split(m, k, p), (m, k, p)
 
 
 def test_anassa_split_sums_to_total():
@@ -225,7 +245,7 @@ def test_anassa_validation():
     with pytest.raises(ValueError):
         anassas_split(3, 1, -1)
     with pytest.raises(ValueError):
-        anassas_split_rec(-1, 0, 0)
+        next(anassa_split_rows(-1))
     with pytest.raises(ValueError):
         anassas_diagonal(-1)
 
@@ -289,3 +309,15 @@ def test_count_table_invariants():
             assert len(row) == max_pieces(piece, m) + 1
     with pytest.raises(ValueError):
         count_table("bishop", -1)
+
+
+def test_count_table_matches_closed_forms():
+    # The tables come from the row recurrences; the closed forms check them.
+    for piece, m_max in (("bishop", 30), ("anassa", 40)):
+        rows = count_table(piece, m_max).rows
+        padded = count_table(piece, m_max, rect=True).rows
+        width = max_pieces(piece, m_max) + 1
+        for m in range(m_max + 1):
+            closed = tuple(count(piece, m, k) for k in range(max_pieces(piece, m) + 1))
+            assert rows[m] == closed, (piece, m)
+            assert padded[m] == closed + (0,) * (width - len(closed)), (piece, m)
