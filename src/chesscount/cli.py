@@ -183,6 +183,10 @@ def cmd_coeffs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    try:
+        verify.check_bounds(args.suite, args.m_max, args.k_max)
+    except ValueError as exc:
+        parser.error(str(exc))
     results = verify.run_suite(args.suite, m_max=args.m_max, k_max=args.k_max)
     lines = []
     total_checks = sum(r.checks for r in results)
@@ -192,14 +196,14 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             lines.append(f"ok    {r.name} ({r.checks} checks)")
         else:
             lines.append(f"FAIL  {r.name} ({r.checks} checks, {len(r.failures)} failed)")
-            lines.extend(f"      {failure}" for failure in r.failures)
+            lines.extend(f"      {failure}" for failure in r.failures or ["no checks"])
     lines.append(
         f"summary: {len(results)} check groups, {total_checks} checks, {total_failures} failures"
     )
     status = _emit("\n".join(lines) + "\n", args.out)
     if status:
         return status
-    return 1 if total_failures else 0
+    return 0 if all(r.ok for r in results) else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -70,24 +70,25 @@ def _rook_coeffs(k: int, z: int) -> list[Fraction]:
     return binomial_basis_to_monomials(weights)
 
 
+def _check_count_parity(k: int, m_parity: int) -> None:
+    if k < 0:
+        raise ValueError(f"piece count must be >= 0, got {k}")
+    if m_parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {m_parity}")
+
+
 def white_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
     """Monomial coefficients of m -> white_rooks(m, k) on one parity class.
 
     Valid for every m >= 0 with m % 2 == m_parity; length 2k + 1.
     """
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    if m_parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {m_parity}")
+    _check_count_parity(k, m_parity)
     return _rook_coeffs(k, -m_parity)
 
 
 def black_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
     """Monomial coefficients of m -> black_rooks(m, k) on one parity class."""
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    if m_parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {m_parity}")
+    _check_count_parity(k, m_parity)
     return _rook_coeffs(k, m_parity)
 
 
@@ -98,10 +99,7 @@ def bishop_coeffs(k: int, m_parity: int) -> list[Fraction]:
     of k; the product of a degree-2j and a degree-2(k-j) vector lands exactly
     in degree 2k, so no truncation is involved.
     """
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    if m_parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {m_parity}")
+    _check_count_parity(k, m_parity)
     out = [Fraction(0)] * (2 * k + 1)
     for j in range(k + 1):
         white = white_rook_coeffs(j, m_parity)

@@ -7,6 +7,8 @@ is a thin reporting layer over this module.
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,7 +44,7 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.checks > 0 and not self.failures
 
     def compare(self, label: str, got: object, want: object) -> None:
         self.checks += 1
@@ -170,7 +172,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("one-color rook counts: three routes agree")
-    colors = [formulas.rook_rows(m_max, c) for c in ("white", "black")] if m_max >= 0 else []
+    colors = [formulas.rook_rows(m_max, c) for c in ("white", "black")]
     for m, (white, black) in enumerate(zip(*colors)):
         for k in range(11):
             closed = formulas.white_rooks(m, k)
@@ -190,7 +192,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     small = min(m_max, 12)
     r = CheckResult("bishop counts: three routes agree")
     # Table rows convolve the black and white rook_rows of each size.
-    bishop_rows = formulas.count_table("bishop", small).rows if small >= 0 else ()
+    bishop_rows = formulas.count_table("bishop", small).rows
     for m, row in enumerate(bishop_rows):
         for k in range(11):
             closed = formulas.bishops(m, k)
@@ -199,7 +201,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("anassa split: recurrence, closed form, and total agree")
-    for m, tri in enumerate(formulas.anassa_split_rows(small) if small >= 0 else ()):
+    for m, tri in enumerate(formulas.anassa_split_rows(small)):
         for k in range(k_max + 1):
             split = tri[k] if k <= m else ()
             for p in range(k + 1):
@@ -225,11 +227,9 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("size -1 evaluates to k! for both pieces")
-    import math as _math
-
     for k in range(k_max + 1):
-        r.compare(f"bishop k={k}", formulas.bishops(-1, k), _math.factorial(k))
-        r.compare(f"anassa k={k}", formulas.anassas(-1, k), _math.factorial(k))
+        r.compare(f"bishop k={k}", formulas.bishops(-1, k), math.factorial(k))
+        r.compare(f"anassa k={k}", formulas.anassas(-1, k), math.factorial(k))
     results.append(r)
 
     r = CheckResult("saturated anassa count: two summations and the closed form")
@@ -284,8 +284,6 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("coefficient structure: periods, divisibility, denominators")
-    import math as _math
-
     expected_period = {0: 1, 1: 1, 2: 1, 3: 2}
     for k in range(min(k_max, 3) + 1):
         vecs = [quasipoly.bishop_coeffs(k, 0), quasipoly.bishop_coeffs(k, 1)]
@@ -297,7 +295,7 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
             quasipoly.divide_by_falling_factorial(vec, k)
         except ArithmeticError as exc:
             r.failures.append(f"anassa k={k} not divisible by the falling factorial: {exc}")
-        bound = _math.factorial(2 * k) * 4**k
+        bound = math.factorial(2 * k) * 4**k
         for vec2 in (
             vec,
             quasipoly.bishop_coeffs(k, 0),
@@ -309,11 +307,11 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
             bad = [c for c in vec2 if bound % c.denominator]
             if bad:
                 r.failures.append(f"k={k}: denominators {bad} exceed (2k)! * 4^k")
-        r.compare(f"anassa lead k={k}", vec[2 * k], Fraction(1, _math.factorial(k)))
+        r.compare(f"anassa lead k={k}", vec[2 * k], Fraction(1, math.factorial(k)))
         r.compare(
             f"white rook lead k={k}",
             quasipoly.white_rook_coeffs(k, 0)[2 * k],
-            Fraction(1, 2**k * _math.factorial(k)),
+            Fraction(1, 2**k * math.factorial(k)),
         )
     results.append(r)
 
@@ -327,18 +325,28 @@ SUITES = {
     "coeffs": suite_coeffs,
 }
 
+# The bounds each suite takes, read from its signature; ``all`` passes each
+# bound to the suites that take it.
+BOUNDS = {n: {"m_max", "k_max"} & set(inspect.signature(f).parameters) for n, f in SUITES.items()}
+
+
+def check_bounds(name: str, m_max: int | None = None, k_max: int | None = None) -> None:
+    """Raise ValueError for an unknown suite, a negative bound, or a bound the suite ignores."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    for bound, value in (("m_max", m_max), ("k_max", k_max)):
+        if value is not None and value < 0:
+            raise ValueError(f"{bound} must be >= 0, got {value}")
+        if value is not None and name != "all" and bound not in BOUNDS[name]:
+            raise ValueError(f"suite {name!r} takes no {bound}")
+
 
 def run_suite(name: str, m_max: int | None = None, k_max: int | None = None) -> list[CheckResult]:
     """Run one named suite (or ``all``) with optional bound overrides."""
-    names = list(SUITES) if name == "all" else [name]
-    if any(n not in SUITES for n in names):
-        raise ValueError(f"unknown suite {name!r}")
+    check_bounds(name, m_max, k_max)
+    given = {"m_max": m_max, "k_max": k_max}
     results: list[CheckResult] = []
-    for n in names:
-        kwargs = {}
-        if m_max is not None and n in ("oracle", "identities", "collapse"):
-            kwargs["m_max"] = m_max
-        if k_max is not None and n in ("identities", "coeffs"):
-            kwargs["k_max"] = k_max
+    for n in SUITES if name == "all" else [name]:
+        kwargs = {bound: given[bound] for bound in BOUNDS[n] if given[bound] is not None}
         results.extend(SUITES[n](**kwargs))
     return results

@@ -106,8 +106,3 @@ def interpolate(points: Iterable[tuple[int, int]]) -> list[Fraction]:
 def polyval(coeffs: Sequence[Fraction], x: int) -> Fraction:
     """Evaluate ascending coefficients at x, exactly."""
     return sum((c * Fraction(x) ** d for d, c in enumerate(coeffs)), Fraction(0))
-
-
-def entry(row: Sequence[int], k: int) -> int:
-    """Entry k of a recurrence row, 0 past its end."""
-    return row[k] if k < len(row) else 0

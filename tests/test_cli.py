@@ -151,6 +151,10 @@ def test_out_failure_reports_path_and_cause(tmp_path, capsys):
         ["table", "bishop", "-3"],
         ["table", "bishop", "4", "--format", "yaml"],
         ["verify", "everything"],
+        ["verify", "identities", "--m-max", "-1"],
+        ["verify", "coeffs", "--k-max", "-1"],
+        ["verify", "oracle", "--k-max", "3"],
+        ["verify", "coeffs", "--m-max", "2"],
     ],
 )
 def test_usage_errors(argv, capsys):
@@ -211,6 +215,13 @@ def test_verify_reports_failures(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "got -7" in out
+
+
+def test_verify_fails_a_group_that_checked_nothing(capsys):
+    # The collapse runs from m = 1, so a bound of 0 leaves it no points.
+    assert cli.main(["verify", "collapse", "--m-max", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  inductive subset collapse (0 checks, 0 failed)\n")
 
 
 # --- determinism across processes ---
