@@ -35,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", parents=[common], help="one closed-form count")
+    p.set_defaults(handler=cmd_count, parser=p)
     p.add_argument("piece", choices=["bishop", "anassa"])
     p.add_argument("m", type=int, help="board size (any integer)")
     p.add_argument("k", type=int, help="number of pieces")
@@ -44,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("table", parents=[common], help="triangle of counts for m = 0..M")
+    p.set_defaults(handler=cmd_table, parser=p)
     p.add_argument("piece", choices=["bishop", "anassa"])
     p.add_argument("m_max", type=int, help="largest board size")
     p.add_argument(
@@ -56,10 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("coeffs", parents=[common], help="quasipolynomial coefficients for fixed k")
+    p.set_defaults(handler=cmd_coeffs, parser=p)
     p.add_argument("piece", choices=["bishop", "anassa"])
     p.add_argument("k", type=int, help="number of pieces")
 
     p = sub.add_parser("verify", parents=[common], help="run self-check suites")
+    p.set_defaults(handler=cmd_verify, parser=p)
     p.add_argument("suite", choices=["oracle", "identities", "collapse", "coeffs", "all"])
     p.add_argument("--m-max", type=int, default=None, help="override board-size bound")
     p.add_argument("--k-max", type=int, default=None, help="override piece-count bound")
@@ -207,15 +211,9 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "count": cmd_count,
-        "table": cmd_table,
-        "coeffs": cmd_coeffs,
-        "verify": cmd_verify,
-    }[args.command]
-    return handler(args, parser)
+    args = build_parser().parse_args(argv)
+    # Each subcommand's parser, so a usage error prints that subcommand's usage.
+    return args.handler(args, args.parser)
 
 
 if __name__ == "__main__":

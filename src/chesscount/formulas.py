@@ -21,7 +21,13 @@ from .kernel import binomial, falling_factorial, parity, stirling2
 def _rooks(m: int, k: int, half: int) -> int:
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
-    return sum(binomial(half, j) * stirling2(m - j, m - k) for j in range(k + 1))
+    total = 0
+    for j in range(k + 1):
+        ways = binomial(half, j)
+        if not ways:
+            continue
+        total += ways * stirling2(m - j, m - k)
+    return total
 
 
 def white_rooks(m: int, k: int) -> int:

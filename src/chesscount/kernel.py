@@ -49,63 +49,44 @@ def falling_factorial(x: int, k: int) -> int:
     return out
 
 
-class _RowCache:
-    """Grow-on-demand triangle of integer rows.
+class _Diagonals:
+    """Grow-on-demand table of G(t, c) = a(t, c)*G(t-1, c) + b(t, c)*G(t, c-1).
 
-    ``grow(rows)`` must return the next row given all earlier ones.  Rows are
-    never mutated after being appended, and growth happens under a lock, so
-    concurrent readers always observe fully built rows.
+    G(0, 0) = 1 and G = 0 at t = -1 or c = -1; ``coeffs(t, c)`` returns the
+    pair (a, b).  Diagonal t holds G(t, 0), G(t, 1), ...  A miss at (t, c)
+    extends diagonals 0..t to column c, so a lookup builds O(t*c) entries.
+    Entries are only appended, under a lock, so concurrent readers always
+    observe fully built values.
     """
 
-    def __init__(self, first_row: list[int], grow: Callable[[list[list[int]]], list[int]]):
-        self._rows: list[list[int]] = [first_row]
-        self._grow = grow
+    def __init__(self, coeffs: Callable[[int, int], tuple[int, int]]):
+        self._diags: list[list[int]] = [[1]]
+        self._coeffs = coeffs
         self._lock = threading.Lock()
 
-    def row(self, n: int) -> list[int]:
-        if n >= len(self._rows):
+    def at(self, t: int, c: int) -> int:
+        diags = self._diags
+        if t >= len(diags) or c >= len(diags[t]):
             with self._lock:
-                while len(self._rows) <= n:
-                    self._rows.append(self._grow(self._rows))
-        return self._rows[n]
+                while len(diags) <= t:
+                    diags.append([])
+                # Diagonal d-1 reaches column c before diagonal d grows.
+                above = [0] * (c + 1)  # diagonal -1
+                for d in range(t + 1):
+                    diag = diags[d]
+                    left = diag[-1] if diag else 0
+                    for col in range(len(diag), c + 1):
+                        a, b = self._coeffs(d, col)
+                        left = a * above[col] + b * left
+                        diag.append(left)
+                    above = diag
+        return diags[t][c]
 
 
-def _grow_stirling2(rows: list[list[int]]) -> list[int]:
-    n = len(rows)
-    prev = rows[-1]
-    row = [0] * (n + 1)
-    for k in range(1, n):
-        row[k] = k * prev[k] + prev[k - 1]
-    row[n] = 1
-    return row
-
-
-def _grow_stirling1(rows: list[list[int]]) -> list[int]:
-    n = len(rows)
-    prev = rows[-1]
-    row = [0] * (n + 1)
-    for k in range(1, n):
-        row[k] = (n - 1) * prev[k] + prev[k - 1]
-    row[n] = 1
-    return row
-
-
-def _grow_assoc(rows: list[list[int]]) -> list[int]:
-    # Blocks have size >= 2, so row m only reaches k = m // 2.
-    m = len(rows)
-    prev = rows[-1]
-    prev2 = rows[-2] if m >= 2 else []
-    row = [0] * (m // 2 + 1)
-    for k in range(1, len(row)):
-        a = k * prev[k] if k < len(prev) else 0
-        b = (m - 1) * prev2[k - 1] if k - 1 < len(prev2) else 0
-        row[k] = a + b
-    return row
-
-
-_STIRLING2 = _RowCache([1], _grow_stirling2)
-_STIRLING1 = _RowCache([1], _grow_stirling1)
-_ASSOC = _RowCache([1], _grow_assoc)
+# Each family indexes G by t (distance from the diagonal) and c (column).
+_STIRLING2 = _Diagonals(lambda t, c: (c, 1))  # S(n, k) at t = n - k, c = k
+_STIRLING1 = _Diagonals(lambda t, c: (t + c - 1, 1))  # c(n, k) at t = n - k, c = k
+_ASSOC = _Diagonals(lambda t, c: (c, 2 * c + t - 1))  # A(m, k) at t = m - 2k, c = k
 
 
 def stirling2(n: int, k: int) -> int:
@@ -119,7 +100,7 @@ def stirling2(n: int, k: int) -> int:
     if n >= 0:
         if k < 0 or k > n:
             return 0
-        return _STIRLING2.row(n)[k]
+        return _STIRLING2.at(n - k, k)
     if k < 0:
         return stirling1_unsigned(-k, -n)
     return 0
@@ -136,7 +117,7 @@ def stirling1_unsigned(n: int, k: int) -> int:
         raise ValueError(f"first-kind Stirling numbers need n >= 0, got {n}")
     if k < 0 or k > n:
         return 0
-    return _STIRLING1.row(n)[k]
+    return _STIRLING1.at(n - k, k)
 
 
 def assoc_stirling2(m: int, k: int) -> int:
@@ -148,5 +129,6 @@ def assoc_stirling2(m: int, k: int) -> int:
     """
     if m < 0:
         raise ValueError(f"associated Stirling numbers need m >= 0, got {m}")
-    row = _ASSOC.row(m)
-    return row[k] if 0 <= k < len(row) else 0
+    if k < 0 or 2 * k > m:
+        return 0
+    return _ASSOC.at(m - 2 * k, k)

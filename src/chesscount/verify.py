@@ -122,7 +122,11 @@ def suite_collapse(m_max: int = 6) -> list[CheckResult]:
 
 
 def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
-    """Cross-formula and special-value identities at desk scale."""
+    """Cross-formula and special-value identities at desk scale.
+
+    "bishop counts: three routes agree" and "anassa split" stop at
+    m = min(m_max, 12), whatever m_max is: their check counts are pinned.
+    """
     results = []
 
     r = CheckResult("extended binomials: Pascal rule and symmetry")

@@ -3,18 +3,19 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from chesscount import cli, count_table
+from chesscount import anassa_quasipolynomial, bishop_quasipolynomial, cli, count_table
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -22,6 +23,7 @@ def run_cli(*args):
         capture_output=True,
         env=env,
         text=False,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -162,6 +164,31 @@ def test_usage_errors(argv, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_usage_error_shows_the_subcommands_usage(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "oracle", "--k-max", "3"])
+    assert capsys.readouterr().err.startswith("usage: chesscount verify")
+
+
+# --- reach: large boards in bounded memory ---
+
+
+def _limit_address_space():
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "piece, quasipolynomial",
+    [("bishop", bishop_quasipolynomial), ("anassa", anassa_quasipolynomial)],
+)
+def test_large_board_count_fits_in_512_mib(piece, quasipolynomial):
+    # The closed form at m = 4000 against the quasipolynomial, a third route.
+    result = run_cli("count", piece, "4000", "2", preexec_fn=_limit_address_space)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{quasipolynomial(2).evaluate(4000)}\n".encode()
 
 
 # --- verify ---

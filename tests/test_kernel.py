@@ -1,6 +1,7 @@
 """Kernel tests: extended binomials, the Stirling family, falling factorials."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from chesscount import (
     assoc_stirling2,
     binomial,
     falling_factorial,
+    kernel,
     parity,
     stirling1_unsigned,
     stirling2,
@@ -150,6 +152,63 @@ def test_assoc_stirling2_recurrence():
 def test_assoc_stirling2_rejects_negative_m():
     with pytest.raises(ValueError):
         assoc_stirling2(-2, 1)
+
+
+# --- the diagonal-indexed Stirling tables ---
+
+
+def test_deep_entries_match_closed_forms():
+    # Far from the diagonal or far along it: whole rows up to n would not fit.
+    n = 5000
+    assert stirling2(n, n - 1) == math.comb(n, 2)
+    assert stirling2(n, n - 2) == math.comb(n, 3) + 3 * math.comb(n, 4)
+    assert stirling2(n, 2) == 2 ** (n - 1) - 1
+    assert stirling1_unsigned(n, n - 1) == math.comb(n, 2)
+    assert stirling1_unsigned(n, 1) == math.factorial(n - 1)
+    k = 20
+    assert assoc_stirling2(2 * k, k) == math.prod(range(1, 2 * k, 2))
+
+
+def _rows_by_recurrence(n_max, step):
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        rows.append([step(rows, n, k) for k in range(n + 1)])
+    return rows
+
+
+def _at(rows, n, k):
+    return rows[n][k] if 0 <= n < len(rows) and 0 <= k < len(rows[n]) else 0
+
+
+N_MAX = 30
+REFERENCE = {
+    "_STIRLING2": (
+        stirling2,
+        _rows_by_recurrence(N_MAX, lambda r, n, k: k * _at(r, n - 1, k) + _at(r, n - 1, k - 1)),
+    ),
+    "_STIRLING1": (
+        stirling1_unsigned,
+        _rows_by_recurrence(
+            N_MAX, lambda r, n, k: (n - 1) * _at(r, n - 1, k) + _at(r, n - 1, k - 1)
+        ),
+    ),
+    "_ASSOC": (
+        assoc_stirling2,
+        _rows_by_recurrence(
+            N_MAX, lambda r, n, k: k * _at(r, n - 1, k) + (n - 1) * _at(r, n - 2, k - 1)
+        ),
+    ),
+}
+POINTS = [(n, k) for n in range(N_MAX + 1) for k in range(n + 1)]
+
+
+@given(st.permutations(POINTS))
+def test_tables_fill_in_any_order(order):
+    for name, (lookup, rows) in REFERENCE.items():
+        fresh = kernel._Diagonals(getattr(kernel, name)._coeffs)
+        with mock.patch.object(kernel, name, fresh):
+            for n, k in order:
+                assert lookup(n, k) == rows[n][k], (name, n, k)
 
 
 # --- falling factorial and parity ---
