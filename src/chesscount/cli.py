@@ -2,8 +2,9 @@
 
 Subcommands: ``count`` (one closed-form count), ``table`` (count triangle),
 ``coeffs`` (quasipolynomial coefficients), ``verify`` (self-check suites).
-Output formats: csv, tsv, bfile (``index value`` lines with ``#`` headers),
-json.  Exit codes: 0 success, 1 verification or I/O failure, 2 usage error.
+Output formats: csv, tsv and json; ``table`` also writes bfile (``index
+value`` lines with ``#`` headers).  Exit codes: 0 success, 1 verification or
+I/O failure, 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
 """
 
@@ -15,9 +16,11 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import formulas, quasipoly, verify
+from . import formulas, quasipoly
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
+_TEXT_FORMATS = ("csv", "tsv", "json")
+_TABLE_FORMATS = ("csv", "tsv", "bfile", "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,17 +28,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chesscount",
         description="Exact counts of nonattacking bishop and anassa placements on m x m boards.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["csv", "tsv", "bfile", "json"], default="csv",
-        help="output format (default: csv)",
-    )
-    common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common], help="one closed-form count")
-    p.set_defaults(handler=cmd_count, parser=p)
+    def subcommand(name, handler, summary, formats=()) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, parser=p)
+        if formats:
+            p.add_argument(
+                "--format", choices=formats, default="csv", help="output format (default: csv)"
+            )
+        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+        return p
+
+    p = subcommand("count", cmd_count, "one closed-form count", _TEXT_FORMATS)
     p.add_argument("piece", choices=["bishop", "anassa"])
     p.add_argument("m", type=int, help="board size (any integer)")
     p.add_argument("k", type=int, help="number of pieces")
@@ -44,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="anassa only: count placements with exactly P pieces below the main diagonal",
     )
 
-    p = sub.add_parser("table", parents=[common], help="triangle of counts for m = 0..M")
-    p.set_defaults(handler=cmd_table, parser=p)
+    p = subcommand("table", cmd_table, "triangle of counts for m = 0..M", _TABLE_FORMATS)
     p.add_argument("piece", choices=["bishop", "anassa"])
     p.add_argument("m_max", type=int, help="largest board size")
     p.add_argument(
@@ -53,17 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="pad every row with zeros to a common width instead of truncating at feasibility",
     )
     p.add_argument(
-        "--offset", type=int, default=0,
-        help="starting index for bfile output (default: 0)",
+        "--offset", type=int, default=None,
+        help="starting index for bfile output (default: 0; only with --format bfile)",
     )
 
-    p = sub.add_parser("coeffs", parents=[common], help="quasipolynomial coefficients for fixed k")
-    p.set_defaults(handler=cmd_coeffs, parser=p)
+    p = subcommand("coeffs", cmd_coeffs, "quasipolynomial coefficients for fixed k", _TEXT_FORMATS)
     p.add_argument("piece", choices=["bishop", "anassa"])
     p.add_argument("k", type=int, help="number of pieces")
 
-    p = sub.add_parser("verify", parents=[common], help="run self-check suites")
-    p.set_defaults(handler=cmd_verify, parser=p)
+    p = subcommand("verify", cmd_verify, "run self-check suites")
     p.add_argument("suite", choices=["oracle", "identities", "collapse", "coeffs", "all"])
     p.add_argument("--m-max", type=int, default=None, help="override board-size bound")
     p.add_argument("--k-max", type=int, default=None, help="override piece-count bound")
@@ -105,8 +107,6 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             payload["below"] = args.below
         payload["count"] = value
         return _emit(json.dumps(payload) + "\n", args.out)
-    if args.format == "bfile":
-        parser.error("bfile output applies only to 'table'")
     return _emit(f"{value}\n", args.out)
 
 
@@ -146,6 +146,8 @@ def parse_bfile(text: str) -> tuple[int, list[int]]:
 def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.m_max < 0:
         parser.error(f"m_max must be >= 0, got {args.m_max}")
+    if args.offset is not None and args.format != "bfile":
+        parser.error("--offset applies only to --format bfile")
     table = formulas.count_table(args.piece, args.m_max, rect=args.rect)
     if args.format == "json":
         payload = {
@@ -156,7 +158,7 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         }
         return _emit(json.dumps(payload) + "\n", args.out)
     if args.format == "bfile":
-        return _emit(_table_bfile(table, args.rect, args.offset), args.out)
+        return _emit(_table_bfile(table, args.rect, args.offset or 0), args.out)
     sep = _SEPARATORS[args.format]
     text = "".join(sep.join(str(v) for v in row) + "\n" for row in table.rows)
     return _emit(text, args.out)
@@ -179,14 +181,14 @@ def cmd_coeffs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "coeffs": [[_rational(c) for c in vec] for vec in vectors],
         }
         return _emit(json.dumps(payload) + "\n", args.out)
-    if args.format == "bfile":
-        parser.error("bfile output applies only to 'table'")
     sep = _SEPARATORS[args.format]
     text = "".join(sep.join(str(c) for c in vec) + "\n" for vec in vectors)
     return _emit(text, args.out)
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import verify  # only here: count, table and coeffs never load it
+
     try:
         verify.check_bounds(args.suite, args.m_max, args.k_max)
     except ValueError as exc:

@@ -157,10 +157,6 @@ def anassas_split(m: int, k: int, p: int) -> int:
     )
 
 
-def _split_at(tri: tuple[tuple[int, ...], ...], k: int, p: int) -> int:
-    return tri[k][p] if 0 <= p <= k < len(tri) else 0
-
-
 def anassa_split_rows(m_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Diagonal-split anassa counts by recurrence on the board size.
 
@@ -173,20 +169,22 @@ def anassa_split_rows(m_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """
     if m_max < 0:
         raise ValueError(f"anassa_split_rows needs m_max >= 0, got {m_max}")
-    tri: tuple[tuple[int, ...], ...] = ((1,),)
-    yield tri
+    tri = [[1]]
+    yield ((1,),)
     for m in range(1, m_max + 1):
-        tri = tuple(
-            tuple(
-                _split_at(tri, k, p)
-                + (m - k + 1) * _split_at(tri, k - 1, p)
-                + (m - p) * _split_at(tri, k - 1, p - 1)
-                + (m - p) * (m - k + 1) * _split_at(tri, k - 2, p - 1)
-                for p in range(k + 1)
-            )
-            for k in range(m + 1)
-        )
-        yield tri
+        tri.append([0] * (m + 1))
+        # The corner column (m - p squares; its piece raises p), then the
+        # top row (m - k + 1 squares).  Each pass runs k downward, so it
+        # reads row k - 1 before changing it.
+        for k in range(m, 0, -1):
+            row, prev = tri[k], tri[k - 1]
+            for p in range(1, k + 1):
+                row[p] += (m - p) * prev[p - 1]
+        for k in range(m, 0, -1):
+            row, prev = tri[k], tri[k - 1]
+            for p in range(k):
+                row[p] += (m - k + 1) * prev[p]
+        yield tuple(map(tuple, tri))
 
 
 def anassas(m: int, k: int) -> int:

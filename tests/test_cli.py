@@ -152,11 +152,13 @@ def test_out_failure_reports_path_and_cause(tmp_path, capsys):
         ["coeffs", "bishop", "2", "--format", "bfile"],
         ["table", "bishop", "-3"],
         ["table", "bishop", "4", "--format", "yaml"],
+        ["table", "bishop", "3", "--offset", "5"],
         ["verify", "everything"],
         ["verify", "identities", "--m-max", "-1"],
         ["verify", "coeffs", "--k-max", "-1"],
         ["verify", "oracle", "--k-max", "3"],
         ["verify", "coeffs", "--m-max", "2"],
+        ["verify", "collapse", "--m-max", "3", "--format", "json"],
     ],
 )
 def test_usage_errors(argv, capsys):

@@ -168,7 +168,8 @@ def test_anassa_split_vanishes_beyond_k():
 
 
 def test_anassa_split_recurrence_matches_closed_form():
-    for m, tri in enumerate(anassa_split_rows(12)):
+    # Listed first, so each triangle is checked after the engine moved on.
+    for m, tri in enumerate(list(anassa_split_rows(12))):
         for k in range(9):
             for p in range(k + 1):
                 got = tri[k][p] if k <= m else 0
@@ -267,3 +268,5 @@ def test_count_table_matches_closed_forms():
             closed = tuple(count(piece, m, k) for k in range(max_pieces(piece, m) + 1))
             assert rows[m] == closed, (piece, m)
             assert padded[m] == closed + (0,) * (width - len(closed)), (piece, m)
+    last = count_table("anassa", 120).rows[-1]
+    assert last == tuple(count("anassa", 120, k) for k in range(121))

@@ -97,15 +97,17 @@ def test_binomial_basis_conversion():
 # --- one-color rook coefficients ---
 
 
-def _interpolated(fn, k, par):
-    points = [(m, fn(m, k)) for m in range(par, par + 4 * k + 2, 2)]
+def _interpolated(fn, k, par, step=2):
+    # 2k + 2 points, one more than degree 2k needs: the top coefficient
+    # must come out 0.
+    points = [(m, fn(m, k)) for m in range(par, par + step * (2 * k + 2), step)]
     coeffs = interpolate(points)
-    assert all(c == 0 for c in coeffs[2 * k + 1:])
+    assert coeffs[2 * k + 1] == 0, (k, par)
     return coeffs[: 2 * k + 1]
 
 
 def test_rook_coeffs_match_interpolation():
-    for k in range(5):
+    for k in range(13):
         for par in (0, 1):
             assert white_rook_coeffs(k, par) == _interpolated(white_rooks, k, par), (k, par)
             assert black_rook_coeffs(k, par) == _interpolated(black_rooks, k, par), (k, par)
@@ -150,12 +152,9 @@ def test_bishop_two_piece_coeffs_equal_quartic_expansion():
 
 
 def test_bishop_coeffs_match_interpolation():
-    for k in range(4):
+    for k in range(13):
         for par in (0, 1):
-            points = [(m, bishops(m, k)) for m in range(par, par + 4 * k + 2, 2)]
-            coeffs = interpolate(points)
-            assert all(c == 0 for c in coeffs[2 * k + 1:])
-            assert bishop_coeffs(k, par) == coeffs[: 2 * k + 1], (k, par)
+            assert bishop_coeffs(k, par) == _interpolated(bishops, k, par), (k, par)
 
 
 def test_bishop_coeffs_leading_term():
@@ -178,9 +177,8 @@ def test_anassa_coeffs_frozen_vectors():
 
 
 def test_anassa_coeffs_match_interpolation():
-    for k in range(5):
-        points = [(m, anassas(m, k)) for m in range(2 * k + 1)]
-        assert anassa_coeffs(k) == interpolate(points), k
+    for k in range(13):
+        assert anassa_coeffs(k) == _interpolated(anassas, k, 0, step=1), k
 
 
 def test_anassa_coeffs_leading_term():
