@@ -213,8 +213,10 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     # Each subcommand's parser, so a usage error prints that subcommand's usage.
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.handler(args, args.parser)
 
 

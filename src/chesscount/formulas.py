@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .kernel import binomial, falling_factorial, parity, stirling2
+from .kernel import binomial, convolve, falling_factorial, parity, stirling2
 
 
 def _rooks(m: int, k: int, half: int) -> int:
@@ -116,10 +116,10 @@ def bishops(m: int, k: int) -> int:
 
 
 def bishops_classic(m: int, k: int) -> int:
-    """Bishop counts via the classical parity-split double sum.
+    """Bishop counts via the classical parity-split double sum; needs m >= 0.
 
-    Outer index runs over the board size rather than the piece count, so
-    this route needs m >= 0; it exists purely as a third cross-check.
+    The arithmetic of :func:`bishops` with the split index reversed: its
+    factors at j are white_rooks(m, j) and black_rooks(m, k - j), regrouped.
     """
     if m < 0 or k < 0:
         raise ValueError("bishops_classic needs m, k >= 0")
@@ -276,14 +276,6 @@ class CountTable:
         return [value for row in self.rows for value in row]
 
 
-def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def count_table(piece: str, m_max: int, rect: bool = False) -> CountTable:
     """Build the count triangle for board sizes 0 .. m_max (ValueError if < 0).
 
@@ -291,7 +283,7 @@ def count_table(piece: str, m_max: int, rect: bool = False) -> CountTable:
     anassa rows sum the triangles of :func:`anassa_split_rows` over p.
     """
     if piece == "bishop":
-        rows = map(_convolve, rook_rows(m_max, "black"), rook_rows(m_max, "white"))
+        rows = map(convolve, rook_rows(m_max, "black"), rook_rows(m_max, "white"))
     elif piece == "anassa":
         rows = (tuple(map(sum, tri)) for tri in anassa_split_rows(m_max))
     else:

@@ -1,15 +1,15 @@
 """Exact combinatorial primitives on plain Python integers.
 
 Binomial coefficients and Stirling-family numbers, extended to negative
-arguments where a consistent extension exists.  Everything here is exact:
-no floats, no overflow, results are ordinary ``int`` objects.
+arguments where a consistent extension exists, and polynomial products.
+Everything here is exact: no floats, no overflow, ``int`` in, ``int`` out.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 
 def parity(m: int) -> int:
@@ -47,6 +47,15 @@ def falling_factorial(x: int, k: int) -> int:
     for i in range(k):
         out *= x - i
     return out
+
+
+def convolve(a: Sequence[Any], b: Sequence[Any]) -> tuple[Any, ...]:
+    """Ascending coefficients of the product of two nonempty coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 class _Diagonals:

@@ -11,13 +11,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Sequence
 
-from .kernel import assoc_stirling2, binomial, stirling1_unsigned
+from .kernel import assoc_stirling2, binomial, convolve, stirling1_unsigned
 
 
-@cache
+def _basis_change_row(p: int, q: int, z: int) -> list[int]:
+    # 4^q * basis_change_coeff(p, q, z, i) for i = 0..p+q.
+    row = [0] * (p + q + 1)
+    for b in range(q + 1):
+        scale = 2**b * binomial(2 * q - b, q)
+        for a in range(b + 1):
+            outer = scale * binomial(p + b - q - z, a) * binomial(q + z, b - a)
+            if outer:
+                for i in range(p + b + 1):
+                    row[i] += outer * binomial(a - q, p + b - i)
+    return row
+
+
 def basis_change_coeff(p: int, q: int, z: int, i: int) -> Fraction:
     """Coefficient of C(2x+z, i) when expanding C(2x+z-q, p) * C(x, q).
 
@@ -29,45 +40,40 @@ def basis_change_coeff(p: int, q: int, z: int, i: int) -> Fraction:
         raise ValueError("basis_change_coeff needs p, q >= 0")
     if i < 0 or i > p + q:
         return Fraction(0)
-    total = 0
-    for b in range(max(0, i - p), q + 1):
-        inner = sum(
-            binomial(p + b - q - z, a) * binomial(q + z, b - a) * binomial(a - q, p + b - i)
-            for a in range(b + 1)
-        )
-        total += 2**b * binomial(2 * q - b, q) * inner
-    return Fraction(total, 4**q)
+    return Fraction(_basis_change_row(p, q, z)[i], 4**q)
 
 
 def binomial_basis_to_monomials(weights: Sequence[Fraction]) -> list[Fraction]:
     """Convert sum_i w_i * C(x, i) into monomial coefficients.
 
     Uses C(x, i) = sum_d ((-1)^(i-d) / i!) * c(i, d) * x^d with c the
-    unsigned first-kind Stirling numbers.
+    unsigned first-kind Stirling numbers, summed in integers over the common
+    denominator of the w_i / i!, so each coefficient takes one division.
     """
-    coeffs = [Fraction(0)] * len(weights)
+    den = math.lcm(*(w.denominator * math.factorial(i) for i, w in enumerate(weights)))
+    sums = [0] * len(weights)
     for i, w in enumerate(weights):
         if not w:
             continue
-        fact_i = math.factorial(i)
+        num = w.numerator * (den // (w.denominator * math.factorial(i)))
         for d in range(i + 1):
-            sign = -1 if (i - d) & 1 else 1
-            coeffs[d] += Fraction(sign * stirling1_unsigned(i, d), fact_i) * w
-    return coeffs
+            sums[d] += (-1) ** (i - d) * num * stirling1_unsigned(i, d)
+    return [Fraction(t, den) for t in sums]
 
 
-def _rook_coeffs(k: int, z: int) -> list[Fraction]:
-    # Weight of C(m, i) in the rook count, then change to the monomial basis.
-    weights = []
-    for i in range(2 * k + 1):
-        w = Fraction(0)
-        for p in range(max(0, i - k), k + 1):
-            for j in range(p, k + 1):
-                block = assoc_stirling2(p + j, p)
-                if block:
-                    w += block * basis_change_coeff(p + j, k - j, z, i)
-        weights.append(w)
-    return binomial_basis_to_monomials(weights)
+def _rook_vectors(k: int, z: int) -> list[list[Fraction]]:
+    # Rook coefficient vectors for 0..k pieces at parity shift z: vector n sums
+    # A(p, p-j) * 4^k * basis_change_coeff(p, q, z, .) over j + q = n, p/2 <= j <= p.
+    sums = [[0] * (2 * n + 1) for n in range(k + 1)]
+    for q in range(k + 1):
+        for p in range(2 * (k - q) + 1):
+            row = _basis_change_row(p, q, z)
+            for j in range((p + 1) // 2, min(p, k - q) + 1):
+                weight = assoc_stirling2(p, p - j) * 4 ** (k - q)
+                target = sums[q + j]
+                for i, r in enumerate(row):
+                    target[i] += weight * r
+    return [binomial_basis_to_monomials([Fraction(w, 4**k) for w in ws]) for ws in sums]
 
 
 def _check_count_parity(k: int, m_parity: int) -> None:
@@ -83,33 +89,26 @@ def white_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
     Valid for every m >= 0 with m % 2 == m_parity; length 2k + 1.
     """
     _check_count_parity(k, m_parity)
-    return _rook_coeffs(k, -m_parity)
+    return _rook_vectors(k, -m_parity)[k]
 
 
 def black_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
     """Monomial coefficients of m -> black_rooks(m, k) on one parity class."""
     _check_count_parity(k, m_parity)
-    return _rook_coeffs(k, m_parity)
+    return _rook_vectors(k, m_parity)[k]
 
 
 def bishop_coeffs(k: int, m_parity: int) -> list[Fraction]:
     """Monomial coefficients of m -> bishops(m, k) on one parity class.
 
-    Cauchy product of the one-color rook coefficient vectors over all splits
-    of k; the product of a degree-2j and a degree-2(k-j) vector lands exactly
-    in degree 2k, so no truncation is involved.
+    Sum over the splits of k of the products of the white and black rook
+    coefficient vectors; the product of a degree-2j and a degree-2(k-j)
+    vector lands exactly in degree 2k, so no truncation is involved.
     """
     _check_count_parity(k, m_parity)
-    out = [Fraction(0)] * (2 * k + 1)
-    for j in range(k + 1):
-        white = white_rook_coeffs(j, m_parity)
-        black = black_rook_coeffs(k - j, m_parity)
-        for a, wa in enumerate(white):
-            if not wa:
-                continue
-            for b, bb in enumerate(black):
-                out[a + b] += wa * bb
-    return out
+    white = _rook_vectors(k, -m_parity)
+    black = _rook_vectors(k, m_parity) if m_parity else white
+    return [sum(column) for column in zip(*map(convolve, white, reversed(black)))]
 
 
 def anassa_coeffs(k: int) -> list[Fraction]:

@@ -300,11 +300,12 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
         except ArithmeticError as exc:
             r.failures.append(f"anassa k={k} not divisible by the falling factorial: {exc}")
         bound = math.factorial(2 * k) * 4**k
+        white = quasipoly.white_rook_coeffs(k, 0)
         for vec2 in (
             vec,
             quasipoly.bishop_coeffs(k, 0),
             quasipoly.bishop_coeffs(k, 1),
-            quasipoly.white_rook_coeffs(k, 0),
+            white,
             quasipoly.white_rook_coeffs(k, 1),
         ):
             r.checks += 1
@@ -312,11 +313,8 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
             if bad:
                 r.failures.append(f"k={k}: denominators {bad} exceed (2k)! * 4^k")
         r.compare(f"anassa lead k={k}", vec[2 * k], Fraction(1, math.factorial(k)))
-        r.compare(
-            f"white rook lead k={k}",
-            quasipoly.white_rook_coeffs(k, 0)[2 * k],
-            Fraction(1, 2**k * math.factorial(k)),
-        )
+        lead = Fraction(1, 2**k * math.factorial(k))
+        r.compare(f"white rook lead k={k}", white[2 * k], lead)
     results.append(r)
 
     return results

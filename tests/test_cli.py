@@ -168,10 +168,21 @@ def test_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
-def test_usage_error_shows_the_subcommands_usage(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "oracle", "--k-max", "3"])
-    assert capsys.readouterr().err.startswith("usage: chesscount verify")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "oracle", "--k-max", "3"],
+        ["verify", "collapse", "--m-max", "3", "--format", "json"],
+        ["count", "bishop", "3", "2", "--bogus"],
+    ],
+)
+def test_usage_error_shows_the_subcommands_usage(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: chesscount {argv[0]}")
 
 
 # --- reach: large boards in bounded memory ---

@@ -107,7 +107,7 @@ def _interpolated(fn, k, par, step=2):
 
 
 def test_rook_coeffs_match_interpolation():
-    for k in range(13):
+    for k in (*range(13), 20):
         for par in (0, 1):
             assert white_rook_coeffs(k, par) == _interpolated(white_rooks, k, par), (k, par)
             assert black_rook_coeffs(k, par) == _interpolated(black_rooks, k, par), (k, par)
@@ -152,7 +152,7 @@ def test_bishop_two_piece_coeffs_equal_quartic_expansion():
 
 
 def test_bishop_coeffs_match_interpolation():
-    for k in range(13):
+    for k in (*range(13), 20):
         for par in (0, 1):
             assert bishop_coeffs(k, par) == _interpolated(bishops, k, par), (k, par)
 
@@ -177,7 +177,7 @@ def test_anassa_coeffs_frozen_vectors():
 
 
 def test_anassa_coeffs_match_interpolation():
-    for k in range(13):
+    for k in (*range(13), 20):
         assert anassa_coeffs(k) == _interpolated(anassas, k, 0, step=1), k
 
 
