@@ -5,112 +5,44 @@ vertical and one diagonal direction ({(0,1), (1,1)}).  This package counts
 their nonattacking placements on m x m boards exactly: closed forms,
 recurrences, a brute-force oracle for small boards, and the quasipolynomial
 coefficient vectors in the board size.
+
+Importing the package loads no submodule: each public name below loads its
+submodule on first access (PEP 562), so a caller pays only for the layers
+it uses.
 """
 
-from .board import (
-    ANASSA_MOVES,
-    BISHOP_MOVES,
-    PIECES,
-    Board,
-    MoveSet,
-    Placement,
-    attacks,
-    bishop_color_board,
-    count_nonattacking,
-    count_nonattacking_below_diag,
-    inductive_subset,
-    is_nonattacking,
-    placement_counts,
-    square_board,
-    verify_collapse,
-)
-from .formulas import (
-    CountTable,
-    anassa_split_rows,
-    anassas,
-    anassas_by_split_sum,
-    anassas_diagonal,
-    anassas_split,
-    bishops,
-    bishops_classic,
-    count,
-    count_table,
-    max_pieces,
-    black_rooks,
-    rook_rows,
-    white_rooks,
-    white_rooks_alt,
-)
-from .kernel import (
-    assoc_stirling2,
-    binomial,
-    falling_factorial,
-    parity,
-    stirling1_unsigned,
-    stirling2,
-)
-from .quasipoly import (
-    QuasiPolynomial,
-    anassa_coeffs,
-    anassa_quasipolynomial,
-    basis_change_coeff,
-    binomial_basis_to_monomials,
-    bishop_coeffs,
-    bishop_quasipolynomial,
-    black_rook_coeffs,
-    divide_by_falling_factorial,
-    effective_period,
-    white_rook_coeffs,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANASSA_MOVES",
-    "BISHOP_MOVES",
-    "PIECES",
-    "Board",
-    "CountTable",
-    "MoveSet",
-    "Placement",
-    "QuasiPolynomial",
-    "anassa_coeffs",
-    "anassa_quasipolynomial",
-    "anassa_split_rows",
-    "anassas",
-    "anassas_by_split_sum",
-    "anassas_diagonal",
-    "anassas_split",
-    "assoc_stirling2",
-    "attacks",
-    "basis_change_coeff",
-    "binomial",
-    "binomial_basis_to_monomials",
-    "bishop_color_board",
-    "bishop_coeffs",
-    "bishop_quasipolynomial",
-    "bishops",
-    "bishops_classic",
-    "black_rook_coeffs",
-    "black_rooks",
-    "count",
-    "count_nonattacking",
-    "count_nonattacking_below_diag",
-    "count_table",
-    "divide_by_falling_factorial",
-    "effective_period",
-    "falling_factorial",
-    "inductive_subset",
-    "is_nonattacking",
-    "max_pieces",
-    "parity",
-    "placement_counts",
-    "rook_rows",
-    "square_board",
-    "stirling1_unsigned",
-    "stirling2",
-    "verify_collapse",
-    "white_rook_coeffs",
-    "white_rooks",
-    "white_rooks_alt",
-]
+# Each public name, listed under the submodule that defines it.
+_EXPORTS = {
+    "board": """ANASSA_MOVES BISHOP_MOVES PIECES Board MoveSet Placement attacks
+        bishop_color_board count_nonattacking count_nonattacking_below_diag
+        inductive_subset is_nonattacking placement_counts square_board verify_collapse""",
+    "formulas": """CountTable anassa_split_rows anassas anassas_by_split_sum
+        anassas_diagonal anassas_split bishops bishops_classic black_rooks count
+        count_table max_pieces rook_rows white_rooks white_rooks_alt""",
+    "kernel": """assoc_stirling2 binomial falling_factorial parity stirling1_unsigned
+        stirling2""",
+    "quasipoly": """QuasiPolynomial anassa_coeffs anassa_quasipolynomial
+        basis_change_coeff binomial_basis_to_monomials bishop_coeffs
+        bishop_quasipolynomial black_rook_coeffs divide_by_falling_factorial
+        effective_period white_rook_coeffs""",
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str) -> object:
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SOURCE.keys())

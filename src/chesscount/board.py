@@ -11,37 +11,36 @@ one line at a time, so it serves as an independent check of the formulas.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 Square = tuple[int, int]
 Move = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class MoveSet:
+class MoveSet(namedtuple("MoveSet", "moves")):
     """Directions a piece rides along.
 
     Each direction must be nonzero with coprime coordinates (a primitive
     vector), and no two directions may be parallel.
     """
 
-    moves: tuple[Move, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.moves:
+    def __new__(cls, moves: tuple[Move, ...]) -> MoveSet:
+        if not moves:
             raise ValueError("a piece needs at least one move direction")
-        for dc, dr in self.moves:
+        for dc, dr in moves:
             if (dc, dr) == (0, 0):
                 raise ValueError("move directions must be nonzero")
             if math.gcd(dc, dr) != 1:
                 raise ValueError(f"move direction {(dc, dr)} is not primitive")
-        for i, (ac, ar) in enumerate(self.moves):
-            for bc, br in self.moves[i + 1:]:
+        for i, (ac, ar) in enumerate(moves):
+            for bc, br in moves[i + 1:]:
                 if ac * br - ar * bc == 0:
                     raise ValueError(f"parallel move directions {(ac, ar)} and {(bc, br)}")
+        return super().__new__(cls, moves)
 
     def line_keys(self, square: Square) -> tuple[int, ...]:
         """One id per direction; squares share an id iff they share that line."""
@@ -55,19 +54,18 @@ ANASSA_MOVES = MoveSet(((0, 1), (1, 1)))
 PIECES: dict[str, MoveSet] = {"bishop": BISHOP_MOVES, "anassa": ANASSA_MOVES}
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(namedtuple("Board", "size squares")):
     """A finite set of squares inside the size x size grid."""
 
-    size: int
-    squares: frozenset[Square]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"board size must be >= 0, got {self.size}")
-        for c, r in self.squares:
-            if not (1 <= c <= self.size and 1 <= r <= self.size):
-                raise ValueError(f"square {(c, r)} outside the {self.size}x{self.size} grid")
+    def __new__(cls, size: int, squares: frozenset[Square]) -> Board:
+        if size < 0:
+            raise ValueError(f"board size must be >= 0, got {size}")
+        for c, r in squares:
+            if not (1 <= c <= size and 1 <= r <= size):
+                raise ValueError(f"square {(c, r)} outside the {size}x{size} grid")
+        return super().__new__(cls, size, squares)
 
 
 def square_board(m: int) -> Board:
@@ -96,19 +94,17 @@ def is_nonattacking(squares: Iterable[Square], moves: MoveSet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(namedtuple("Placement", "board moves occupied")):
     """A pairwise nonattacking set of occupied squares on a board."""
 
-    board: Board
-    moves: MoveSet
-    occupied: frozenset[Square]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.occupied <= self.board.squares:
+    def __new__(cls, board: Board, moves: MoveSet, occupied: frozenset[Square]) -> Placement:
+        if not occupied <= board.squares:
             raise ValueError("occupied squares must all lie on the board")
-        if not is_nonattacking(self.occupied, self.moves):
+        if not is_nonattacking(occupied, moves):
             raise ValueError("occupied squares attack each other")
+        return super().__new__(cls, board, moves, occupied)
 
 
 # Eight covers every board one verify step holds at once: the square board

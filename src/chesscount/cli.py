@@ -11,12 +11,12 @@ All output is deterministic: the same invocation produces the same bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
-from . import formulas, quasipoly
+# Only the layer every subcommand but ``verify`` needs: the others load
+# where they are used, so each process imports what its subcommand runs.
+from . import formulas
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
 _TEXT_FORMATS = ("csv", "tsv", "json")
@@ -86,8 +86,10 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def _rational(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
+def _emit_json(payload: dict, out: str | None) -> int:
+    import json  # only for --format json
+
+    return _emit(json.dumps(payload) + "\n", out)
 
 
 def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -106,7 +108,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if args.below is not None:
             payload["below"] = args.below
         payload["count"] = value
-        return _emit(json.dumps(payload) + "\n", args.out)
+        return _emit_json(payload, args.out)
     return _emit(f"{value}\n", args.out)
 
 
@@ -156,7 +158,7 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "rect": args.rect,
             "rows": [list(row) for row in table.rows],
         }
-        return _emit(json.dumps(payload) + "\n", args.out)
+        return _emit_json(payload, args.out)
     if args.format == "bfile":
         return _emit(_table_bfile(table, args.rect, args.offset or 0), args.out)
     sep = _SEPARATORS[args.format]
@@ -165,6 +167,8 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_coeffs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import quasipoly
+
     if args.k < 0:
         parser.error(f"k must be >= 0, got {args.k}")
     if args.piece == "bishop":
@@ -178,16 +182,16 @@ def cmd_coeffs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "piece": args.piece,
             "k": args.k,
             "period": period,
-            "coeffs": [[_rational(c) for c in vec] for vec in vectors],
+            "coeffs": [[f"{c.numerator}/{c.denominator}" for c in vec] for vec in vectors],
         }
-        return _emit(json.dumps(payload) + "\n", args.out)
+        return _emit_json(payload, args.out)
     sep = _SEPARATORS[args.format]
     text = "".join(sep.join(str(c) for c in vec) + "\n" for vec in vectors)
     return _emit(text, args.out)
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from . import verify  # only here: count, table and coeffs never load it
+    from . import verify
 
     try:
         verify.check_bounds(args.suite, args.m_max, args.k_max)

@@ -11,9 +11,8 @@ the closed forms, kept separate on purpose, cross-check them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .kernel import binomial, convolve, falling_factorial, parity, stirling2
 
@@ -21,13 +20,9 @@ from .kernel import binomial, convolve, falling_factorial, parity, stirling2
 def _rooks(m: int, k: int, half: int) -> int:
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
-    total = 0
-    for j in range(k + 1):
-        ways = binomial(half, j)
-        if not ways:
-            continue
-        total += ways * stirling2(m - j, m - k)
-    return total
+    # C(half, j) vanishes past half, unless half < 0 (a negative board size).
+    top = min(k, half) if half >= 0 else k
+    return sum(binomial(half, j) * stirling2(m - j, m - k) for j in range(top + 1))
 
 
 def white_rooks(m: int, k: int) -> int:
@@ -148,13 +143,18 @@ def anassas_split(m: int, k: int, p: int) -> int:
     """
     if k < 0 or p < 0:
         raise ValueError("anassas_split needs k, p >= 0")
-    return sum(
-        falling_factorial(m - k + j, j)
-        * binomial(k - p - 1, j)
-        * binomial(k - j, k - p)
-        * stirling2(m + 1, m - k + j + 1)
-        for j in range(p + 1)
-    )
+    total = 0
+    for j in range(p + 1):
+        partitions = stirling2(m + 1, m - k + j + 1)
+        if not partitions:  # most j when k is far past the board's capacity
+            continue
+        total += (
+            falling_factorial(m - k + j, j)
+            * binomial(k - p - 1, j)
+            * binomial(k - j, k - p)
+            * partitions
+        )
+    return total
 
 
 def anassa_split_rows(m_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -192,21 +192,24 @@ def anassas(m: int, k: int) -> int:
 
     Sum over j <= ceil(k/2) of (m-k+j)_j * S(m, m-k+j) * 2^(k-2j)
     * (C(k-j, j-1) + C(k-j+1, j)).  For odd k the top summand carries
-    2^(-1) against an even cofactor, so the sum runs over exact rationals
-    with an integrality check at the end.  Defined for every integer m.
+    2^(-1) against an even cofactor, so the sum runs over twice each summand,
+    in integers, with an evenness check at the end.  Defined for every
+    integer m.
     """
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
-    total = Fraction(0)
+    twice = 0
     for j in range((k + 1) // 2 + 1):
-        weight = binomial(k - j, j - 1) + binomial(k - j + 1, j)
-        if not weight:
+        partitions = stirling2(m, m - k + j)
+        if not partitions:  # most j when k is far past the board's capacity
             continue
-        body = falling_factorial(m - k + j, j) * stirling2(m, m - k + j) * weight
-        total += body * Fraction(2) ** (k - 2 * j)
-    if total.denominator != 1:
-        raise ArithmeticError(f"anassa count for m={m}, k={k} came out non-integral: {total}")
-    return int(total)
+        weight = binomial(k - j, j - 1) + binomial(k - j + 1, j)
+        body = falling_factorial(m - k + j, j) * partitions * weight
+        twice += body << (k - 2 * j + 1)
+    total, odd = divmod(twice, 2)
+    if odd:
+        raise ArithmeticError(f"anassa count for m={m}, k={k} came out non-integral: {twice}/2")
+    return total
 
 
 def anassas_by_split_sum(m: int, k: int) -> int:
@@ -226,16 +229,15 @@ def anassas_diagonal(m: int) -> tuple[int, int]:
     """
     if m < 0:
         raise ValueError(f"board size must be >= 0, got {m}")
+    # 2^m times the first sum, and the second before its division.
     first = sum(
-        Fraction(binomial(m + 1, j) * stirling2(m, j) * math.factorial(j), 2**j)
+        (binomial(m + 1, j) * stirling2(m, j) * math.factorial(j)) << (m - j)
         for j in range(m + 1)
     )
-    second = Fraction(
-        sum(binomial(m + 1, j) * j**m for j in range(m + 2)), 2 ** (m + 1)
-    )
-    if first.denominator != 1 or second.denominator != 1:
+    second = sum(binomial(m + 1, j) * j**m for j in range(m + 2))
+    if first % 2**m or second % 2 ** (m + 1):
         raise ArithmeticError(f"saturated anassa count for m={m} came out non-integral")
-    return int(first), int(second)
+    return first >> m, second >> (m + 1)
 
 
 def max_pieces(piece: str, m: int) -> int:
@@ -258,8 +260,7 @@ def count(piece: str, m: int, k: int) -> int:
     raise ValueError(f"unknown piece {piece!r}")
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "piece m_max rows")):
     """Feasibility-truncated triangle of placement counts.
 
     ``rows[m]`` holds the counts for k = 0 .. max_pieces(piece, m) on the
@@ -267,9 +268,10 @@ class CountTable:
     output was requested).
     """
 
-    piece: str
-    m_max: int
-    rows: tuple[tuple[int, ...], ...] = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"CountTable(piece={self.piece!r}, m_max={self.m_max})"
 
     def flatten(self) -> list[int]:
         """Row-major linearization (m ascending, k ascending)."""

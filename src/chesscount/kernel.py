@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 
 def parity(m: int) -> int:
@@ -49,7 +49,7 @@ def falling_factorial(x: int, k: int) -> int:
     return out
 
 
-def convolve(a: Sequence[Any], b: Sequence[Any]) -> tuple[Any, ...]:
+def convolve(a: Sequence[object], b: Sequence[object]) -> tuple[object, ...]:
     """Ascending coefficients of the product of two nonempty coefficient lists."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

@@ -9,9 +9,9 @@ coefficient vectors exactly, as Fractions in the monomial basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .kernel import assoc_stirling2, binomial, convolve, stirling1_unsigned
 
@@ -143,8 +143,7 @@ def anassa_coeffs(k: int) -> list[Fraction]:
     return binomial_basis_to_monomials(weights)
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(namedtuple("QuasiPolynomial", "degree period coeffs")):
     """Degree-``degree`` quasipolynomial with one coefficient vector per residue.
 
     ``coeffs[m % period]`` is the monomial coefficient vector that applies to
@@ -152,16 +151,17 @@ class QuasiPolynomial:
     coincide; :func:`effective_period` collapses the representation on demand.
     """
 
-    degree: int
-    period: int
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.period < 1 or len(self.coeffs) != self.period:
+    def __new__(
+        cls, degree: int, period: int, coeffs: tuple[tuple[Fraction, ...], ...]
+    ) -> QuasiPolynomial:
+        if period < 1 or len(coeffs) != period:
             raise ValueError("need one coefficient vector per residue class")
-        for vec in self.coeffs:
-            if len(vec) != self.degree + 1:
+        for vec in coeffs:
+            if len(vec) != degree + 1:
                 raise ValueError("coefficient vectors must have length degree + 1")
+        return super().__new__(cls, degree, period, coeffs)
 
     def evaluate(self, m: int) -> int:
         """Exact value at board size m >= 0 (must come out an integer)."""

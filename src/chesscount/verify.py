@@ -7,9 +7,7 @@ is a thin reporting layer over this module.
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formulas, quasipoly
@@ -36,11 +34,13 @@ def _at(row: tuple[int, ...], k: int) -> int:
     return row[k] if k < len(row) else 0
 
 
-@dataclass
 class CheckResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """One check group: how many points it compared, and the ones that differed."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -327,9 +327,12 @@ SUITES = {
     "coeffs": suite_coeffs,
 }
 
-# The bounds each suite takes, read from its signature; ``all`` passes each
-# bound to the suites that take it.
-BOUNDS = {n: {"m_max", "k_max"} & set(inspect.signature(f).parameters) for n, f in SUITES.items()}
+# The bounds each suite takes, read from its parameter names; ``all`` passes
+# each bound to the suites that take it.
+BOUNDS = {
+    n: {"m_max", "k_max"} & set(f.__code__.co_varnames[: f.__code__.co_argcount])
+    for n, f in SUITES.items()
+}
 
 
 def check_bounds(name: str, m_max: int | None = None, k_max: int | None = None) -> None:

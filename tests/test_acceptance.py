@@ -47,7 +47,7 @@ def _groups(verify_suite, suite: str, *names: str) -> list:
 
 def test_criterion_1_bishop_oracle_equivalence(verify_suite):
     failures = _groups(verify_suite, "oracle", "bishop closed form vs brute force")
-    for m in range(9):
+    for m in range(11):
         board = square_board(m)
         if m * m != count_nonattacking(board, BISHOP_MOVES, 1):
             failures.append(("one-piece polynomial vs oracle", m))
@@ -57,7 +57,7 @@ def test_criterion_1_bishop_oracle_equivalence(verify_suite):
         failures.append("eight-board one-piece count")
     if not (bishops(8, 2) == _quartic(8) == 1736):
         failures.append("eight-board two-piece count")
-    _report(1, "bishop closed form = brute force (m <= 8), plus m = 8 spot values", failures)
+    _report(1, "bishop closed form = brute force (m <= 10), plus m = 8 spot values", failures)
 
 
 def test_criterion_2_anassa_oracle_equivalence(verify_suite):
@@ -67,7 +67,7 @@ def test_criterion_2_anassa_oracle_equivalence(verify_suite):
         "anassa closed form vs brute force",
         "anassa diagonal split vs brute force",
     )
-    _report(2, "anassa closed forms = brute force (m <= 8, diagonal split included)", failures)
+    _report(2, "anassa closed forms = brute force (m <= 10, diagonal split included)", failures)
 
 
 def test_criterion_3_formula_cross_agreement(verify_suite):
@@ -83,7 +83,7 @@ def test_criterion_3_formula_cross_agreement(verify_suite):
 
 def test_criterion_4_inductive_collapse(verify_suite):
     failures = _groups(verify_suite, "collapse", "inductive subset collapse")
-    _report(4, "removing the inductive subset collapses counts one board size down (m <= 8)", failures)
+    _report(4, "removing the inductive subset collapses counts one board size down (m <= 10)", failures)
 
 
 def test_criterion_5_combinatorial_types(verify_suite):

@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import ast
 import json
 import os
 import re
@@ -183,6 +184,50 @@ def test_usage_error_shows_the_subcommands_usage(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage: chesscount {argv[0]}")
+
+
+# --- imports: each subcommand loads only the layers it runs ---
+
+
+def modules_after(code):
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``.
+
+    ``-S`` skips ``site``, so no ``.pth`` file preloads modules of its own.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = f"import sys\n{code}\nprint(sorted(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, env=env, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return set(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+
+def test_count_and_table_load_no_other_layer_or_heavy_library():
+    runs = [
+        ["count", "bishop", "8", "2"],
+        ["count", "anassa", "8", "3", "--below", "1"],
+        ["table", "bishop", "12", "--format", "bfile"],
+    ]
+    loaded = modules_after(f"from chesscount import cli\nfor argv in {runs!r}: cli.main(argv)")
+    unwanted = {
+        "dataclasses", "inspect", "fractions", "decimal", "json", "typing",
+        "chesscount.board", "chesscount.quasipoly", "chesscount.verify",
+    }
+    assert loaded & unwanted == set()
+    assert "chesscount.formulas" in loaded
+
+
+def test_coeffs_loads_no_dataclasses_inspect_or_json():
+    loaded = modules_after("from chesscount import cli\ncli.main(['coeffs', 'bishop', '3'])")
+    assert loaded & {"dataclasses", "inspect", "json"} == set()
+    assert "chesscount.quasipoly" in loaded
+
+
+def test_bare_package_import_loads_no_submodule():
+    loaded = modules_after("import chesscount")
+    assert "chesscount" in loaded
+    assert {name for name in loaded if name.startswith("chesscount.")} == set()
 
 
 # --- reach: large boards in bounded memory ---

@@ -1,6 +1,7 @@
 """Counting-formula tests: closed forms, recurrences, and cross-checks."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -186,6 +187,16 @@ def test_anassa_counts_vanish_beyond_feasibility():
     for m in range(9):
         for k in range(m + 1, m + 4):
             assert anassas(m, k) == 0
+
+
+def test_counts_far_past_capacity_are_zero():
+    # Each sum evaluates only the summands a 3 x 3 board can hold: together
+    # these take milliseconds, where a pass over every j <= k takes minutes.
+    start = time.perf_counter()
+    assert count("bishop", 3, 20_000) == 0
+    assert count("anassa", 3, 20_000) == 0
+    assert anassas_split(3, 20_000, 20_000) == 0
+    assert time.perf_counter() - start < 10
 
 
 def test_anassa_negative_one_gives_factorials():
