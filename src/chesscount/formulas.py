@@ -3,9 +3,11 @@
 Counts k nonattacking bishops or anassas (moves {(0,1), (1,1)}) on the
 m x m board.  Bishop counts factor through rook counts on the two
 one-color boards; anassa counts additionally split by how many pieces sit
-strictly below the main diagonal.  The recurrences on the board size are
-row generators that keep only the current row and build :func:`count_table`;
-the closed forms, kept separate on purpose, cross-check them.
+strictly below the main diagonal.  Each rook count has three routes that
+share no arithmetic: the Stirling closed forms, the row recurrences on the
+board size (generators that keep only the current row and build
+:func:`count_table`), and the classical alternating sums, which use neither
+a Stirling number nor a recurrence.
 """
 
 from __future__ import annotations
@@ -68,28 +70,35 @@ def rook_rows(m_max: int, color: str) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-def white_rooks_alt(m: int, k: int) -> int:
-    """White-square rook counts via the classical alternating sum.
-
-    With t = m - k:  (1/t!) * sum over j of C(t, j) * (-1)^(t-j)
-    * (j+1)^((m+parity(m))/2) * j^((m-parity(m))/2); zero when k > m.
-    The division is exact; a nonzero remainder would mean a bug.
-    """
+def _rooks_alt(m: int, k: int, half: int) -> int:
     if m < 0 or k < 0:
-        raise ValueError("white_rooks_alt needs m, k >= 0")
+        raise ValueError(f"the alternating sum needs m, k >= 0, got m={m}, k={k}")
     t = m - k
     if t < 0:
         return 0
-    e_hi = (m + parity(m)) // 2
-    e_lo = (m - parity(m)) // 2
     total = sum(
-        binomial(t, j) * (-1) ** ((t - j) & 1) * (j + 1) ** e_hi * j**e_lo
+        binomial(t, j) * (-1) ** ((t - j) & 1) * (j + 1) ** half * j ** (m - half)
         for j in range(t + 1)
     )
     q, r = divmod(total, math.factorial(t))
     if r:
         raise ArithmeticError(f"alternating sum for m={m}, k={k} not divisible by {t}!")
     return q
+
+
+def white_rooks_alt(m: int, k: int) -> int:
+    """White-square rook counts via the classical alternating sum; needs m, k >= 0.
+
+    With t = m - k and h = ceil(m/2):  (1/t!) * sum over j of C(t, j)
+    * (-1)^(t-j) * (j+1)^h * j^(m-h); zero when k > m.  The division is
+    exact; a nonzero remainder would mean a bug.
+    """
+    return _rooks_alt(m, k, (m + 1) // 2)
+
+
+def black_rooks_alt(m: int, k: int) -> int:
+    """Companion to :func:`white_rooks_alt` for the black-square board: h = floor(m/2)."""
+    return _rooks_alt(m, k, m // 2)
 
 
 def bishops(m: int, k: int) -> int:
@@ -101,36 +110,14 @@ def bishops(m: int, k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
+    # For m >= 0 each color holds at most m rooks, so splits past m vanish.
+    splits = range(max(0, k - m), min(k, m) + 1) if m >= 0 else range(k + 1)
     total = 0
-    for j in range(k + 1):
+    for j in splits:
         left = black_rooks(m, j)
         if not left:
             continue
         total += left * white_rooks(m, k - j)
-    return total
-
-
-def bishops_classic(m: int, k: int) -> int:
-    """Bishop counts via the classical parity-split double sum; needs m >= 0.
-
-    The arithmetic of :func:`bishops` with the split index reversed: its
-    factors at j are white_rooks(m, j) and black_rooks(m, k - j), regrouped.
-    """
-    if m < 0 or k < 0:
-        raise ValueError("bishops_classic needs m, k >= 0")
-    half_lo, half_hi = m // 2, (m + 1) // 2
-    total = 0
-    for j in range(m + 1):
-        left = sum(
-            binomial(half_hi, i) * stirling2(i + half_lo, m - j) for i in range(half_hi + 1)
-        )
-        if not left:
-            continue
-        right = sum(
-            binomial(half_lo, l) * stirling2(l + half_hi, m - k + j)
-            for l in range(half_lo + 1)
-        )
-        total += left * right
     return total
 
 

@@ -294,12 +294,14 @@ def test_verify_output_is_frozen(capsys):
     assert summary == "summary: 13 check groups, 4849 checks, 0 failures"
 
 
-def test_verify_reports_failures(monkeypatch, capsys):
-    monkeypatch.setattr("chesscount.formulas.white_rooks_alt", lambda m, k: -7)
+@pytest.mark.parametrize("route", ["white_rooks_alt", "black_rooks_alt"])
+def test_verify_reports_failures(monkeypatch, capsys, route):
+    monkeypatch.setattr(f"chesscount.formulas.{route}", lambda m, k: -7)
     assert cli.main(["verify", "identities", "--m-max", "4", "--k-max", "2"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "got -7" in out
+    assert "FAIL  bishop counts: three routes agree" in out
+    if route == "white_rooks_alt":
+        assert "got -7" in out
 
 
 def test_verify_fails_a_group_that_checked_nothing(capsys):

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script and the README quick start run against the package in ``src``."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -17,3 +18,9 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env)
     assert done.returncode == 0, done.stderr.decode()[-2000:]
+
+
+def test_readme_examples_pass():
+    results = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert results.attempted == 8
+    assert results.failed == 0

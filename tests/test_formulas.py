@@ -16,9 +16,9 @@ from chesscount import (
     binomial,
     bishop_color_board,
     bishops,
-    bishops_classic,
     black_rook_coeffs,
     black_rooks,
+    black_rooks_alt,
     count,
     count_table,
     max_pieces,
@@ -65,17 +65,32 @@ def test_rook_rows_reach_deep_boards():
             assert last[k] == want, (color, k)
 
 
+def test_alternating_routes_match_closed_forms():
+    for m in range(41):
+        for k in range(2 * m + 3):
+            assert white_rooks_alt(m, k) == white_rooks(m, k), (m, k)
+            assert black_rooks_alt(m, k) == black_rooks(m, k), (m, k)
+
+
 def test_alternating_route_saturated_boundary():
     for m in range(9):
         assert white_rooks_alt(m, m) == (1 if m <= 1 else 0)
+        # The black board of size 1 has no square.
+        assert black_rooks_alt(m, m) == (1 if m == 0 else 0)
     assert white_rooks_alt(4, 7) == 0
+    assert black_rooks_alt(4, 7) == 0
 
 
 def test_rook_validation():
     with pytest.raises(ValueError):
         white_rooks(3, -1)
     with pytest.raises(ValueError):
-        white_rooks_alt(-1, 0)
+        black_rooks(3, -1)
+    for alt in (white_rooks_alt, black_rooks_alt):
+        with pytest.raises(ValueError):
+            alt(-1, 0)
+        with pytest.raises(ValueError):
+            alt(3, -1)
     for color in ("white", "black"):
         with pytest.raises(ValueError):
             next(rook_rows(-1, color))
@@ -114,7 +129,7 @@ def test_bishop_validation():
     with pytest.raises(ValueError):
         bishops(4, -2)
     with pytest.raises(ValueError):
-        bishops_classic(-1, 2)
+        black_rooks_alt(-1, 2)
 
 
 # --- anassas ---
@@ -194,6 +209,7 @@ def test_counts_far_past_capacity_are_zero():
     # these take milliseconds, where a pass over every j <= k takes minutes.
     start = time.perf_counter()
     assert count("bishop", 3, 20_000) == 0
+    assert count("bishop", 3, 10**7) == 0
     assert count("anassa", 3, 20_000) == 0
     assert anassas_split(3, 20_000, 20_000) == 0
     assert time.perf_counter() - start < 10
