@@ -10,23 +10,33 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .kernel import assoc_stirling2, binomial, convolve, stirling1_unsigned
 
 
-def _basis_change_row(p: int, q: int, z: int) -> list[int]:
-    # 4^q * basis_change_coeff(p, q, z, i) for i = 0..p+q.
-    row = [0] * (p + q + 1)
-    for b in range(q + 1):
-        scale = 2**b * binomial(2 * q - b, q)
-        for a in range(b + 1):
-            outer = scale * binomial(p + b - q - z, a) * binomial(q + z, b - a)
-            if outer:
-                for i in range(p + b + 1):
-                    row[i] += outer * binomial(a - q, p + b - i)
-    return row
+def _times_linear(row: list[int], c: int, scale: int, den: int) -> list[int]:
+    # Weights over C(y, i) of scale * (y - c) * sum_i row[i] C(y, i) / den, by
+    # (y - c) C(y, i) = (i + 1) C(y, i + 1) + (i - c) C(y, i); den must divide.
+    return [
+        scale * (i * lower + (i - c) * same) // den
+        for i, (lower, same) in enumerate(zip([0, *row], [*row, 0]))
+    ]
+
+
+def _basis_change_rows(q: int, z: int, p_max: int) -> Iterator[list[int]]:
+    # 4^q * basis_change_coeff(p, q, z, i) for i = 0..p+q, for p = 0..p_max.
+    # In y = 2x + z, 4^(s+1) C(x, s+1) = 4^s C(x, s) * 2(y - z - 2s) / (s + 1)
+    # and C(y - q, t + 1) = C(y - q, t) * (y - q - t) / (t + 1); every row is
+    # integral, so each division is exact.
+    row = [1]
+    for s in range(q):
+        row = _times_linear(row, z + 2 * s, 2, s + 1)
+    yield row
+    for t in range(p_max):
+        row = _times_linear(row, q + t, 1, t + 1)
+        yield row
 
 
 def basis_change_coeff(p: int, q: int, z: int, i: int) -> Fraction:
@@ -40,7 +50,8 @@ def basis_change_coeff(p: int, q: int, z: int, i: int) -> Fraction:
         raise ValueError("basis_change_coeff needs p, q >= 0")
     if i < 0 or i > p + q:
         return Fraction(0)
-    return Fraction(_basis_change_row(p, q, z)[i], 4**q)
+    *_, row = _basis_change_rows(q, z, p)
+    return Fraction(row[i], 4**q)
 
 
 def binomial_basis_to_monomials(weights: Sequence[Fraction]) -> list[Fraction]:
@@ -61,13 +72,21 @@ def binomial_basis_to_monomials(weights: Sequence[Fraction]) -> list[Fraction]:
     return [Fraction(t, den) for t in sums]
 
 
+def _weighted_sum(weights: Sequence[Fraction], values: Iterable[int]) -> Fraction:
+    # sum_i weights[i] * values[i], in integers over the weights' common
+    # denominator, so the only Fraction is the result.
+    den = math.lcm(*(w.denominator for w in weights))
+    return Fraction(
+        sum(w.numerator * (den // w.denominator) * v for w, v in zip(weights, values)), den
+    )
+
+
 def _rook_vectors(k: int, z: int) -> list[list[Fraction]]:
     # Rook coefficient vectors for 0..k pieces at parity shift z: vector n sums
     # A(p, p-j) * 4^k * basis_change_coeff(p, q, z, .) over j + q = n, p/2 <= j <= p.
     sums = [[0] * (2 * n + 1) for n in range(k + 1)]
     for q in range(k + 1):
-        for p in range(2 * (k - q) + 1):
-            row = _basis_change_row(p, q, z)
+        for p, row in enumerate(_basis_change_rows(q, z, 2 * (k - q))):
             for j in range((p + 1) // 2, min(p, k - q) + 1):
                 weight = assoc_stirling2(p, p - j) * 4 ** (k - q)
                 target = sums[q + j]
@@ -168,7 +187,7 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "degree period coeffs")):
         if m < 0:
             raise ValueError(f"board size must be >= 0, got {m}")
         vec = self.coeffs[m % self.period]
-        total = sum((c * m**d for d, c in enumerate(vec)), Fraction(0))
+        total = _weighted_sum(vec, (m**d for d in range(len(vec))))
         if total.denominator != 1:
             raise ArithmeticError(f"evaluation at m={m} came out non-integral: {total}")
         return int(total)

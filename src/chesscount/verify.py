@@ -8,19 +8,10 @@ is a thin reporting layer over this module.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from . import formulas, quasipoly
-from .board import (
-    ANASSA_MOVES,
-    BISHOP_MOVES,
-    PIECES,
-    bishop_color_board,
-    count_nonattacking,
-    count_nonattacking_below_diag,
-    square_board,
-    verify_collapse,
-)
+# ``board``, ``quasipoly`` and ``fractions`` load inside the suites that use
+# them, so a process imports only what its suites run.
+from . import formulas
 from .kernel import (
     assoc_stirling2,
     binomial,
@@ -54,6 +45,15 @@ class CheckResult:
 
 def suite_oracle(m_max: int = 5, k_pad: int = 2) -> list[CheckResult]:
     """All closed-form counts against exhaustive search on small boards."""
+    from .board import (
+        ANASSA_MOVES,
+        BISHOP_MOVES,
+        bishop_color_board,
+        count_nonattacking,
+        count_nonattacking_below_diag,
+        square_board,
+    )
+
     results = []
 
     r = CheckResult("bishop closed form vs brute force")
@@ -112,6 +112,8 @@ def suite_oracle(m_max: int = 5, k_pad: int = 2) -> list[CheckResult]:
 
 def suite_collapse(m_max: int = 6) -> list[CheckResult]:
     """Removing the inductive subset collapses counts one board size down."""
+    from .board import PIECES, verify_collapse
+
     r = CheckResult("inductive subset collapse")
     for piece in PIECES:
         for m in range(1, m_max + 1):
@@ -127,6 +129,10 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     "bishop counts: three routes agree" and "anassa split" stop at
     m = min(m_max, 12), whatever m_max is: their check counts are pinned.
     """
+    from fractions import Fraction
+
+    from . import quasipoly
+
     results = []
 
     r = CheckResult("extended binomials: Pascal rule and symmetry")
@@ -196,13 +202,12 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     # alternating sums use no Stirling number and no recurrence.
     bishop_rows = formulas.count_table("bishop", small).rows
     for m, row in enumerate(bishop_rows):
+        white = [formulas.white_rooks_alt(m, j) for j in range(11)]
+        black = [formulas.black_rooks_alt(m, j) for j in range(11)]
         for k in range(11):
             closed = formulas.bishops(m, k)
             r.compare(f"convolution m={m} k={k}", _at(row, k), closed)
-            alternating = sum(
-                formulas.white_rooks_alt(m, j) * formulas.black_rooks_alt(m, k - j)
-                for j in range(k + 1)
-            )
+            alternating = sum(white[j] * black[k - j] for j in range(k + 1))
             r.compare(f"alternating m={m} k={k}", alternating, closed)
     results.append(r)
 
@@ -252,7 +257,8 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
                 weights = [quasipoly.basis_change_coeff(p, q, z, i) for i in range(p + q + 1)]
                 for x in range(11):
                     lhs = binomial(2 * x + z - q, p) * binomial(x, q)
-                    rhs = sum(w * binomial(2 * x + z, i) for i, w in enumerate(weights))
+                    basis = (binomial(2 * x + z, i) for i in range(p + q + 1))
+                    rhs = quasipoly._weighted_sum(weights, basis)
                     r.compare(f"p={p} q={q} z={z} x={x}", rhs, lhs)
     results.append(r)
 
@@ -261,30 +267,37 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
 
 def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
     """Quasipolynomial coefficient vectors against the closed-form counts."""
+    from fractions import Fraction
+
+    from . import quasipoly
+
+    # Each vector is built once and serves every group that reads it.
+    ks = range(k_max + 1)
+    bishop = [quasipoly.bishop_quasipolynomial(k) for k in ks]
+    anassa = [quasipoly.anassa_quasipolynomial(k) for k in ks]
+    white = [[quasipoly.white_rook_coeffs(k, par) for par in (0, 1)] for k in ks]
+    black = [[quasipoly.black_rook_coeffs(k, par) for par in (0, 1)] for k in ks]
     results = []
 
     r = CheckResult("bishop quasipolynomial round trip")
-    for k in range(k_max + 1):
-        qp = quasipoly.bishop_quasipolynomial(k)
+    for k, qp in enumerate(bishop):
         for m in range(2 * k + 7):
             r.compare(f"bishop k={k} m={m}", qp.evaluate(m), formulas.bishops(m, k))
     results.append(r)
 
     r = CheckResult("anassa polynomial round trip")
-    for k in range(k_max + 1):
-        qp = quasipoly.anassa_quasipolynomial(k)
+    for k, qp in enumerate(anassa):
         for m in range(2 * k + 7):
             r.compare(f"anassa k={k} m={m}", qp.evaluate(m), formulas.anassas(m, k))
     results.append(r)
 
     r = CheckResult("one-color rook coefficient round trip")
-    for k in range(k_max + 1):
+    for k in ks:
         for par in (0, 1):
-            white = quasipoly.white_rook_coeffs(k, par)
-            black = quasipoly.black_rook_coeffs(k, par)
             for m in range(par, 2 * k + 7, 2):
-                val_w = sum(c * m**d for d, c in enumerate(white))
-                val_b = sum(c * m**d for d, c in enumerate(black))
+                powers = [m**d for d in range(2 * k + 1)]
+                val_w = quasipoly._weighted_sum(white[k][par], powers)
+                val_b = quasipoly._weighted_sum(black[k][par], powers)
                 r.compare(f"white k={k} m={m}", val_w, formulas.white_rooks(m, k))
                 r.compare(f"black k={k} m={m}", val_b, formulas.black_rooks(m, k))
     results.append(r)
@@ -292,31 +305,25 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
     r = CheckResult("coefficient structure: periods, divisibility, denominators")
     expected_period = {0: 1, 1: 1, 2: 1, 3: 2}
     for k in range(min(k_max, 3) + 1):
-        vecs = [quasipoly.bishop_coeffs(k, 0), quasipoly.bishop_coeffs(k, 1)]
-        r.compare(f"bishop period k={k}", quasipoly.effective_period(vecs), expected_period[k])
-    for k in range(k_max + 1):
-        vec = quasipoly.anassa_coeffs(k)
+        r.compare(
+            f"bishop period k={k}", quasipoly.effective_period(bishop[k].coeffs), expected_period[k]
+        )
+    for k in ks:
+        vec = anassa[k].coeffs[0]
         r.checks += 1
         try:
             quasipoly.divide_by_falling_factorial(vec, k)
         except ArithmeticError as exc:
             r.failures.append(f"anassa k={k} not divisible by the falling factorial: {exc}")
         bound = math.factorial(2 * k) * 4**k
-        white = quasipoly.white_rook_coeffs(k, 0)
-        for vec2 in (
-            vec,
-            quasipoly.bishop_coeffs(k, 0),
-            quasipoly.bishop_coeffs(k, 1),
-            white,
-            quasipoly.white_rook_coeffs(k, 1),
-        ):
+        for vec2 in (vec, *bishop[k].coeffs, *white[k]):
             r.checks += 1
             bad = [c for c in vec2 if bound % c.denominator]
             if bad:
                 r.failures.append(f"k={k}: denominators {bad} exceed (2k)! * 4^k")
         r.compare(f"anassa lead k={k}", vec[2 * k], Fraction(1, math.factorial(k)))
         lead = Fraction(1, 2**k * math.factorial(k))
-        r.compare(f"white rook lead k={k}", white[2 * k], lead)
+        r.compare(f"white rook lead k={k}", white[k][0][2 * k], lead)
     results.append(r)
 
     return results

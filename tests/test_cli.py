@@ -224,6 +224,20 @@ def test_coeffs_loads_no_dataclasses_inspect_or_json():
     assert "chesscount.quasipoly" in loaded
 
 
+@pytest.mark.parametrize(
+    "argv, unwanted",
+    [
+        (["verify", "oracle", "--m-max", "4"], {"chesscount.quasipoly", "fractions", "decimal"}),
+        (["verify", "collapse", "--m-max", "4"], {"chesscount.quasipoly", "fractions", "decimal"}),
+        (["verify", "coeffs", "--k-max", "2"], {"chesscount.board"}),
+    ],
+)
+def test_verify_loads_only_the_layers_its_suite_uses(argv, unwanted):
+    loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
+    assert loaded & unwanted == set()
+    assert "chesscount.verify" in loaded
+
+
 def test_bare_package_import_loads_no_submodule():
     loaded = modules_after("import chesscount")
     assert "chesscount" in loaded

@@ -68,6 +68,17 @@ def test_basis_change_matches_linear_solve():
                 assert direct == solved, (p, q, z)
 
 
+def test_basis_change_expands_the_product_on_a_wide_grid():
+    # The expansion has degree p + q in x, so the points x = 0..p+q fix it.
+    for p in range(13):
+        for q in range(13):
+            for z in range(-2, 3):
+                weights = [basis_change_coeff(p, q, z, i) for i in range(p + q + 1)]
+                for x in range(p + q + 1):
+                    got = sum(w * binomial(2 * x + z, i) for i, w in enumerate(weights))
+                    assert got == binomial(2 * x + z - q, p) * binomial(x, q), (p, q, z, x)
+
+
 def test_basis_change_out_of_range_and_denominator():
     assert basis_change_coeff(2, 1, 0, -1) == 0
     assert basis_change_coeff(2, 1, 0, 4) == 0
@@ -206,8 +217,24 @@ def test_quasipolynomial_validation():
 
 def test_evaluation_integrality_guard():
     broken = QuasiPolynomial(0, 1, ((Fraction(1, 2),),))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="came out non-integral: 1/2$"):
         broken.evaluate(1)
+    # 1/4 + 1/4 is summed over the denominator 4; the message shows it reduced.
+    quarters = QuasiPolynomial(1, 1, ((Fraction(1, 4), Fraction(1, 4)),))
+    with pytest.raises(ArithmeticError, match="came out non-integral: 1/2$"):
+        quarters.evaluate(1)
+
+
+def test_evaluate_matches_term_by_term_sum():
+    # Integer-valued in m, with entries of both signs over the denominators
+    # 1, 4, 6 and 24.
+    even = binomial_basis_to_monomials([Fraction(n) for n in (3, -2, 5, -7, 4)])
+    odd = binomial_basis_to_monomials([Fraction(n) for n in (-1, 6, 0, 9, -11)])
+    assert {c.denominator for c in even + odd} == {1, 4, 6, 24}
+    assert {c > 0 for c in even + odd} == {True, False}
+    qp = QuasiPolynomial(4, 2, (tuple(even), tuple(odd)))
+    for m in (*range(40), 10**12, 10**12 + 1):
+        assert qp.evaluate(m) == polyval((even, odd)[m % 2], m), m
 
 
 # --- falling-factorial division ---
