@@ -1,7 +1,8 @@
 """Exact combinatorial primitives on plain Python integers.
 
 Binomial coefficients and Stirling-family numbers, extended to negative
-arguments where a consistent extension exists, and polynomial products.
+arguments where a consistent extension exists, polynomial products, and
+the integer basis-change rows behind the quasipolynomial coefficients.
 Everything here is exact: no floats, no overflow, ``int`` in, ``int`` out.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 
 def parity(m: int) -> int:
@@ -56,6 +57,29 @@ def convolve(a: Sequence[object], b: Sequence[object]) -> tuple[object, ...]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return tuple(out)
+
+
+def _times_linear(row: list[int], c: int, scale: int, den: int) -> list[int]:
+    # Weights over C(y, i) of scale * (y - c) * sum_i row[i] C(y, i) / den, by
+    # (y - c) C(y, i) = (i + 1) C(y, i + 1) + (i - c) C(y, i); den must divide.
+    return [
+        scale * (i * lower + (i - c) * same) // den
+        for i, (lower, same) in enumerate(zip([0, *row], [*row, 0]))
+    ]
+
+
+def _basis_change_rows(q: int, z: int, p_max: int) -> Iterator[list[int]]:
+    # 4^q * basis_change_coeff(p, q, z, i) for i = 0..p+q, for p = 0..p_max.
+    # In y = 2x + z, 4^(s+1) C(x, s+1) = 4^s C(x, s) * 2(y - z - 2s) / (s + 1)
+    # and C(y - q, t + 1) = C(y - q, t) * (y - q - t) / (t + 1); every row is
+    # integral, so each division is exact.
+    row = [1]
+    for s in range(q):
+        row = _times_linear(row, z + 2 * s, 2, s + 1)
+    yield row
+    for t in range(p_max):
+        row = _times_linear(row, q + t, 1, t + 1)
+        yield row
 
 
 class _Diagonals:

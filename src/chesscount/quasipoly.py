@@ -3,40 +3,19 @@
 For a fixed piece count k, each placement count is a degree-2k polynomial
 in the board size m, with coefficients that may depend on the parity of m
 (period 2 for bishops, period 1 for anassas).  This module computes those
-coefficient vectors exactly, as Fractions in the monomial basis.
+coefficient vectors exactly in the monomial basis.  They are built in
+integers, as numerators over one known denominator per vector, and each
+coefficient becomes a Fraction only in the last step, when it is returned.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .kernel import assoc_stirling2, binomial, convolve, stirling1_unsigned
-
-
-def _times_linear(row: list[int], c: int, scale: int, den: int) -> list[int]:
-    # Weights over C(y, i) of scale * (y - c) * sum_i row[i] C(y, i) / den, by
-    # (y - c) C(y, i) = (i + 1) C(y, i + 1) + (i - c) C(y, i); den must divide.
-    return [
-        scale * (i * lower + (i - c) * same) // den
-        for i, (lower, same) in enumerate(zip([0, *row], [*row, 0]))
-    ]
-
-
-def _basis_change_rows(q: int, z: int, p_max: int) -> Iterator[list[int]]:
-    # 4^q * basis_change_coeff(p, q, z, i) for i = 0..p+q, for p = 0..p_max.
-    # In y = 2x + z, 4^(s+1) C(x, s+1) = 4^s C(x, s) * 2(y - z - 2s) / (s + 1)
-    # and C(y - q, t + 1) = C(y - q, t) * (y - q - t) / (t + 1); every row is
-    # integral, so each division is exact.
-    row = [1]
-    for s in range(q):
-        row = _times_linear(row, z + 2 * s, 2, s + 1)
-    yield row
-    for t in range(p_max):
-        row = _times_linear(row, q + t, 1, t + 1)
-        yield row
+from .kernel import _basis_change_rows, assoc_stirling2, binomial, convolve
 
 
 def basis_change_coeff(p: int, q: int, z: int, i: int) -> Fraction:
@@ -54,22 +33,31 @@ def basis_change_coeff(p: int, q: int, z: int, i: int) -> Fraction:
     return Fraction(row[i], 4**q)
 
 
+def _monomial_numerators(weights: Sequence[int]) -> list[int]:
+    # Monomial numerators over L = (len(weights) - 1)! of sum_i weights[i] * C(x, i),
+    # by C(x, i) = x(x-1)...(x-i+1) / i!; L / i! is an integer.
+    top = len(weights) - 1
+    sums = [0] * len(weights)
+    falling = [1]  # ascending coefficients of x(x-1)...(x-i+1)
+    for i, w in enumerate(weights):
+        if w:
+            num = w * math.perm(top, top - i)
+            for d, c in enumerate(falling):
+                sums[d] += num * c
+        falling = [lower - i * same for lower, same in zip([0, *falling], [*falling, 0])]
+    return sums
+
+
 def binomial_basis_to_monomials(weights: Sequence[Fraction]) -> list[Fraction]:
     """Convert sum_i w_i * C(x, i) into monomial coefficients.
 
-    Uses C(x, i) = sum_d ((-1)^(i-d) / i!) * c(i, d) * x^d with c the
-    unsigned first-kind Stirling numbers, summed in integers over the common
-    denominator of the w_i / i!, so each coefficient takes one division.
+    Expands C(x, i) = x(x-1)...(x-i+1) / i! in integers over the common
+    denominator of the w_i times (len(weights) - 1)!, so each coefficient
+    takes one division.
     """
-    den = math.lcm(*(w.denominator * math.factorial(i) for i, w in enumerate(weights)))
-    sums = [0] * len(weights)
-    for i, w in enumerate(weights):
-        if not w:
-            continue
-        num = w.numerator * (den // (w.denominator * math.factorial(i)))
-        for d in range(i + 1):
-            sums[d] += (-1) ** (i - d) * num * stirling1_unsigned(i, d)
-    return [Fraction(t, den) for t in sums]
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = _monomial_numerators([w.numerator * (den // w.denominator) for w in weights])
+    return [Fraction(t, den * math.factorial(len(weights) - 1)) for t in nums]
 
 
 def _weighted_sum(weights: Sequence[Fraction], values: Iterable[int]) -> Fraction:
@@ -81,8 +69,9 @@ def _weighted_sum(weights: Sequence[Fraction], values: Iterable[int]) -> Fractio
     )
 
 
-def _rook_vectors(k: int, z: int) -> list[list[Fraction]]:
-    # Rook coefficient vectors for 0..k pieces at parity shift z: vector n sums
+def _rook_vectors(k: int, z: int) -> list[list[int]]:
+    # Rook coefficient vectors for 0..k pieces at parity shift z, as monomial
+    # numerators: vector n is over 4^k * (2n)!.  Over the basis C(m, i) it sums
     # A(p, p-j) * 4^k * basis_change_coeff(p, q, z, .) over j + q = n, p/2 <= j <= p.
     sums = [[0] * (2 * n + 1) for n in range(k + 1)]
     for q in range(k + 1):
@@ -92,7 +81,28 @@ def _rook_vectors(k: int, z: int) -> list[list[Fraction]]:
                 target = sums[q + j]
                 for i, r in enumerate(row):
                     target[i] += weight * r
-    return [binomial_basis_to_monomials([Fraction(w, 4**k) for w in ws]) for ws in sums]
+    return [_monomial_numerators(ws) for ws in sums]
+
+
+def _rook_coeffs(k: int, vectors: Sequence[Sequence[int]]) -> list[Fraction]:
+    # The k-piece vector of _rook_vectors(k, z) as Fractions.
+    den = 4**k * math.factorial(2 * k)
+    return [Fraction(c, den) for c in vectors[k]]
+
+
+def _bishop_from_rooks(
+    k: int, white: Sequence[Sequence[int]], black: Sequence[Sequence[int]]
+) -> list[Fraction]:
+    # Bishop coefficients from the white and black _rook_vectors(k, .) of one
+    # parity class.  Split j pairs white vector j, over 4^k (2j)!, with black
+    # vector k - j, over 4^k (2k-2j)!; scaled by C(2k, 2j), every product lies
+    # over 16^k (2k)!.
+    products = (
+        convolve([math.comb(2 * k, 2 * j) * c for c in white[j]], black[k - j])
+        for j in range(k + 1)
+    )
+    den = 16**k * math.factorial(2 * k)
+    return [Fraction(sum(column), den) for column in zip(*products)]
 
 
 def _check_count_parity(k: int, m_parity: int) -> None:
@@ -108,13 +118,13 @@ def white_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
     Valid for every m >= 0 with m % 2 == m_parity; length 2k + 1.
     """
     _check_count_parity(k, m_parity)
-    return _rook_vectors(k, -m_parity)[k]
+    return _rook_coeffs(k, _rook_vectors(k, -m_parity))
 
 
 def black_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
     """Monomial coefficients of m -> black_rooks(m, k) on one parity class."""
     _check_count_parity(k, m_parity)
-    return _rook_vectors(k, m_parity)[k]
+    return _rook_coeffs(k, _rook_vectors(k, m_parity))
 
 
 def bishop_coeffs(k: int, m_parity: int) -> list[Fraction]:
@@ -127,7 +137,7 @@ def bishop_coeffs(k: int, m_parity: int) -> list[Fraction]:
     _check_count_parity(k, m_parity)
     white = _rook_vectors(k, -m_parity)
     black = _rook_vectors(k, m_parity) if m_parity else white
-    return [sum(column) for column in zip(*map(convolve, white, reversed(black)))]
+    return _bishop_from_rooks(k, white, black)
 
 
 def anassa_coeffs(k: int) -> list[Fraction]:
@@ -135,31 +145,29 @@ def anassa_coeffs(k: int) -> list[Fraction]:
 
     Weight of C(m, i) is sum over j of alpha(k, j) * sum over p of
     A(p+k-j, p) * sum over b of C(p,b) C(k, j-b) C(b, k+p-i), where
-    alpha(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)) * j!.
+    alpha(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)) * j!.  Twice each
+    weight is an integer, since k - 2j >= -1, so the weights are summed
+    doubled.  Each (j, p, b) term is added once into every i = k+p-c it
+    reaches, with weight C(b, c) for c = 0..b.
     """
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
-    half = (k + 1) // 2
-    weights = []
-    for i in range(2 * k + 1):
-        w = Fraction(0)
-        for j in range(min(half, 2 * k - i) + 1):
-            bracket = binomial(k - j, j - 1) + binomial(k - j + 1, j)
-            if not bracket:
+    twice = [0] * (2 * k + 1)
+    for j in range((k + 1) // 2 + 1):
+        bracket = binomial(k - j, j - 1) + binomial(k - j + 1, j)
+        if not bracket:
+            continue
+        alpha2 = 2 ** (k - 2 * j + 1) * bracket * math.factorial(j)
+        for p in range(k - j + 1):
+            block = alpha2 * assoc_stirling2(p + k - j, p)
+            if not block:
                 continue
-            alpha = Fraction(2) ** (k - 2 * j) * bracket * math.factorial(j)
-            inner = 0
-            for p in range(max(0, i - k), k - j + 1):
-                block = assoc_stirling2(p + k - j, p)
-                if not block:
-                    continue
-                inner += block * sum(
-                    binomial(p, b) * binomial(k, j - b) * binomial(b, k + p - i)
-                    for b in range(j + 1)
-                )
-            w += alpha * inner
-        weights.append(w)
-    return binomial_basis_to_monomials(weights)
+            for b in range(min(p, j) + 1):
+                term = block * math.comb(p, b) * math.comb(k, j - b)
+                for c in range(b + 1):
+                    twice[k + p - c] += term * math.comb(b, c)
+    den = 2 * math.factorial(2 * k)
+    return [Fraction(t, den) for t in _monomial_numerators(twice)]
 
 
 class QuasiPolynomial(namedtuple("QuasiPolynomial", "degree period coeffs")):

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 
-# ``board``, ``quasipoly`` and ``fractions`` load inside the suites that use
-# them, so a process imports only what its suites run.
+# ``board`` loads inside the suites that search boards, and ``quasipoly`` and
+# ``fractions`` inside ``suite_coeffs``, so a process imports only what its
+# suites run.  The identities check the integer basis-change rows directly.
 from . import formulas
 from .kernel import (
+    _basis_change_rows,
     assoc_stirling2,
     binomial,
     stirling1_unsigned,
@@ -129,10 +131,6 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     "bishop counts: three routes agree" and "anassa split" stop at
     m = min(m_max, 12), whatever m_max is: their check counts are pinned.
     """
-    from fractions import Fraction
-
-    from . import quasipoly
-
     results = []
 
     r = CheckResult("extended binomials: Pascal rule and symmetry")
@@ -165,11 +163,12 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
 
     r = CheckResult("central binomial alternating sum")
     for k in range(21):
-        total = sum(
-            Fraction((-1) ** (j & 1) * binomial(k - j, k - 2 * j)) * Fraction(2) ** (k - 2 * j)
+        # Twice each term; the one with 2^-1 meets C(k-j, -1) = 0.
+        twice = sum(
+            (-1) ** (j & 1) * binomial(k - j, k - 2 * j) * 2 ** (k - 2 * j + 1)
             for j in range((k + 1) // 2 + 1)
         )
-        r.compare(f"k={k}", total, k + 1)
+        r.compare(f"k={k}", twice, 2 * (k + 1))
     results.append(r)
 
     r = CheckResult("second-kind Stirling via block-size expansion")
@@ -254,11 +253,11 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     for p in range(5):
         for q in range(5):
             for z in (-1, 0, 1):
-                weights = [quasipoly.basis_change_coeff(p, q, z, i) for i in range(p + q + 1)]
+                # The row holds the weights times 4^q, all integers.
+                *_, row = _basis_change_rows(q, z, p)
                 for x in range(11):
-                    lhs = binomial(2 * x + z - q, p) * binomial(x, q)
-                    basis = (binomial(2 * x + z, i) for i in range(p + q + 1))
-                    rhs = quasipoly._weighted_sum(weights, basis)
+                    lhs = 4**q * binomial(2 * x + z - q, p) * binomial(x, q)
+                    rhs = sum(w * binomial(2 * x + z, i) for i, w in enumerate(row))
                     r.compare(f"p={p} q={q} z={z} x={x}", rhs, lhs)
     results.append(r)
 
@@ -271,12 +270,22 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
 
     from . import quasipoly
 
-    # Each vector is built once and serves every group that reads it.
+    # Each rook vector is built once per parity shift and serves every group
+    # that reads it: even boards share one set for both colors.
     ks = range(k_max + 1)
-    bishop = [quasipoly.bishop_quasipolynomial(k) for k in ks]
+    bishop, white, black = [], [], []
+    for k in ks:
+        odd_white, even, odd_black = (quasipoly._rook_vectors(k, z) for z in (-1, 0, 1))
+        pairs = ((even, even), (odd_white, odd_black))  # white and black, m even and odd
+        bishop.append(
+            quasipoly.QuasiPolynomial(
+                2 * k, 2, tuple(tuple(quasipoly._bishop_from_rooks(k, *pair)) for pair in pairs)
+            )
+        )
+        even_rooks = quasipoly._rook_coeffs(k, even)
+        white.append([even_rooks, quasipoly._rook_coeffs(k, odd_white)])
+        black.append([even_rooks, quasipoly._rook_coeffs(k, odd_black)])
     anassa = [quasipoly.anassa_quasipolynomial(k) for k in ks]
-    white = [[quasipoly.white_rook_coeffs(k, par) for par in (0, 1)] for k in ks]
-    black = [[quasipoly.black_rook_coeffs(k, par) for par in (0, 1)] for k in ks]
     results = []
 
     r = CheckResult("bishop quasipolynomial round trip")

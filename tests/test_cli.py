@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import ast
+import hashlib
 import json
 import os
 import re
@@ -121,6 +122,23 @@ def test_coeffs_anassa_period_one(capsys):
     assert payload["period"] == 1 and len(payload["coeffs"]) == 1
 
 
+# SHA-256 of the JSON stdout at k = 30 and 40, past the k = 20 that the
+# interpolation tests reach; taken from the earlier all-Fraction route.
+COEFFS_SHA256 = {
+    ("bishop", 30): "5aaddc603f402931a2b4c9bb6954d252378e525be11856741853d2401f225d07",
+    ("bishop", 40): "13849e830157cd7ffc4058008d07e157a0ddd8a4d3e412a17741a64cd9dbe189",
+    ("anassa", 30): "656eec9bea612120480336256c040c65b1f76b271d131a735b6f9f96faa451e1",
+    ("anassa", 40): "a58869b89f64eea469da75bcf78117079266c9144599f8469cf9d71f20ecd89a",
+}
+
+
+@pytest.mark.parametrize("piece, k", COEFFS_SHA256)
+def test_coeffs_json_is_pinned_up_to_k_40(capsys, piece, k):
+    assert cli.main(["coeffs", piece, str(k), "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == COEFFS_SHA256[piece, k]
+
+
 # --- output redirection ---
 
 
@@ -229,6 +247,10 @@ def test_coeffs_loads_no_dataclasses_inspect_or_json():
     [
         (["verify", "oracle", "--m-max", "4"], {"chesscount.quasipoly", "fractions", "decimal"}),
         (["verify", "collapse", "--m-max", "4"], {"chesscount.quasipoly", "fractions", "decimal"}),
+        (
+            ["verify", "identities", "--m-max", "2", "--k-max", "1"],
+            {"chesscount.quasipoly", "fractions", "decimal"},
+        ),
         (["verify", "coeffs", "--k-max", "2"], {"chesscount.board"}),
     ],
 )

@@ -9,7 +9,8 @@ import re
 
 import pytest
 
-from chesscount.verify import SUITES
+from chesscount import quasipoly, verify
+from chesscount.verify import SUITES, suite_coeffs, suite_identities
 
 GROUPS = [
     ("oracle", "bishop closed form vs brute force"),
@@ -52,3 +53,34 @@ def test_groups_are_the_engines_groups(verify_suite):
     engine = [(suite, name) for suite in SUITES for name in verify_suite(suite)]
     assert engine == GROUPS
     assert len({group_id(g) for _, g in GROUPS}) == len(GROUPS)
+
+
+def test_basis_change_identity_catches_a_wrong_row(monkeypatch):
+    def group():
+        results = suite_identities(m_max=2, k_max=1)
+        return next(r for r in results if r.name == "binomial basis change identity")
+
+    assert group().ok
+    rows = verify._basis_change_rows
+
+    def one_entry_off(q, z, p_max):
+        for p, row in enumerate(rows(q, z, p_max)):
+            yield [w + 1 if (p, q, z, i) == (3, 2, 1, 2) else w for i, w in enumerate(row)]
+
+    monkeypatch.setattr(verify, "_basis_change_rows", one_entry_off)
+    broken = group()
+    assert broken.checks == 825
+    assert broken.failures and all(f.startswith("p=3 q=2 z=1 ") for f in broken.failures)
+
+
+def test_coeffs_suite_builds_each_rook_vector_once(monkeypatch):
+    calls = []
+    build = quasipoly._rook_vectors
+
+    def counted(k, z):
+        calls.append((k, z))
+        return build(k, z)
+
+    monkeypatch.setattr(quasipoly, "_rook_vectors", counted)
+    assert all(r.ok for r in suite_coeffs(6))
+    assert sorted(calls) == [(k, z) for k in range(7) for z in (-1, 0, 1)]
