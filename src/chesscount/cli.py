@@ -172,11 +172,11 @@ def cmd_coeffs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.k < 0:
         parser.error(f"k must be >= 0, got {args.k}")
     if args.piece == "bishop":
-        vectors = [quasipoly.bishop_coeffs(args.k, 0), quasipoly.bishop_coeffs(args.k, 1)]
+        qp = quasipoly.bishop_quasipolynomial(args.k)
     else:
-        vectors = [quasipoly.anassa_coeffs(args.k)]
-    period = quasipoly.effective_period(vectors)
-    vectors = vectors[:period]
+        qp = quasipoly.anassa_quasipolynomial(args.k)
+    period = quasipoly.effective_period(qp.coeffs)
+    vectors = qp.coeffs[:period]
     if args.format == "json":
         payload = {
             "piece": args.piece,

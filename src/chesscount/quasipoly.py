@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .kernel import _basis_change_rows, assoc_stirling2, binomial, convolve
@@ -58,15 +58,6 @@ def binomial_basis_to_monomials(weights: Sequence[Fraction]) -> list[Fraction]:
     den = math.lcm(*(w.denominator for w in weights))
     nums = _monomial_numerators([w.numerator * (den // w.denominator) for w in weights])
     return [Fraction(t, den * math.factorial(len(weights) - 1)) for t in nums]
-
-
-def _weighted_sum(weights: Sequence[Fraction], values: Iterable[int]) -> Fraction:
-    # sum_i weights[i] * values[i], in integers over the weights' common
-    # denominator, so the only Fraction is the result.
-    den = math.lcm(*(w.denominator for w in weights))
-    return Fraction(
-        sum(w.numerator * (den // w.denominator) * v for w, v in zip(weights, values)), den
-    )
 
 
 def _rook_vectors(k: int, z: int) -> list[list[int]]:
@@ -195,7 +186,12 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "degree period coeffs")):
         if m < 0:
             raise ValueError(f"board size must be >= 0, got {m}")
         vec = self.coeffs[m % self.period]
-        total = _weighted_sum(vec, (m**d for d in range(len(vec))))
+        # Summed in integers over the coefficients' common denominator, so
+        # the only Fraction is the total.
+        den = math.lcm(*(c.denominator for c in vec))
+        total = Fraction(
+            sum(c.numerator * (den // c.denominator) * m**d for d, c in enumerate(vec)), den
+        )
         if total.denominator != 1:
             raise ArithmeticError(f"evaluation at m={m} came out non-integral: {total}")
         return int(total)

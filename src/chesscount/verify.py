@@ -17,6 +17,7 @@ from .kernel import (
     _basis_change_rows,
     assoc_stirling2,
     binomial,
+    convolve,
     stirling1_unsigned,
     stirling2,
 )
@@ -45,71 +46,47 @@ class CheckResult:
             self.failures.append(f"{label}: got {got}, want {want}")
 
 
-def suite_oracle(m_max: int = 5, k_pad: int = 2) -> list[CheckResult]:
+_PAST_MAX = 2  # sizes checked past the largest feasible one, where both sides must read 0
+
+
+def suite_oracle(m_max: int = 5) -> list[CheckResult]:
     """All closed-form counts against exhaustive search on small boards."""
     from .board import (
-        ANASSA_MOVES,
         BISHOP_MOVES,
+        PIECES,
         bishop_color_board,
-        count_nonattacking,
         count_nonattacking_below_diag,
+        placement_counts,
         square_board,
     )
 
-    results = []
-
-    r = CheckResult("bishop closed form vs brute force")
+    # One pass over m reads each board's profile once: a step holds at most
+    # four boards, which the profile cache keeps for every repeat read.
+    closed = {piece: CheckResult(f"{piece} closed form vs brute force") for piece in PIECES}
+    split = CheckResult("anassa diagonal split vs brute force")
+    colors = CheckResult("bishop counts factor over the two colors")
     for m in range(m_max + 1):
         board = square_board(m)
-        for k in range(formulas.max_pieces("bishop", m) + k_pad + 1):
-            r.compare(
-                f"bishop m={m} k={k}",
-                formulas.bishops(m, k),
-                count_nonattacking(board, BISHOP_MOVES, k),
-            )
-    results.append(r)
-
-    r = CheckResult("anassa closed form vs brute force")
-    for m in range(m_max + 1):
-        board = square_board(m)
-        for k in range(m + k_pad + 1):
-            r.compare(
-                f"anassa m={m} k={k}",
-                formulas.anassas(m, k),
-                count_nonattacking(board, ANASSA_MOVES, k),
-            )
-    results.append(r)
-
-    r = CheckResult("anassa diagonal split vs brute force")
-    for m in range(m_max + 1):
+        counts = {}
+        for piece, moves in PIECES.items():
+            counts[piece] = placement_counts(board, moves)
+            for k in range(formulas.max_pieces(piece, m) + _PAST_MAX + 1):
+                closed[piece].compare(
+                    f"{piece} m={m} k={k}", formulas.count(piece, m, k), _at(counts[piece], k)
+                )
         for k in range(m + 1):
             for p in range(k + 2):
-                r.compare(
+                split.compare(
                     f"anassa m={m} k={k} p={p}",
                     formulas.anassas_split(m, k, p),
                     count_nonattacking_below_diag(m, k, p),
                 )
-    results.append(r)
-
-    r = CheckResult("bishop counts factor over the two colors")
-    for m in range(m_max + 1):
-        white = bishop_color_board(m, "white")
-        black = bishop_color_board(m, "black")
-        board = square_board(m)
+        product = convolve(
+            *(placement_counts(bishop_color_board(m, c), BISHOP_MOVES) for c in ("white", "black"))
+        )
         for k in range(formulas.max_pieces("bishop", m) + 1):
-            split = sum(
-                count_nonattacking(white, BISHOP_MOVES, j)
-                * count_nonattacking(black, BISHOP_MOVES, k - j)
-                for j in range(k + 1)
-            )
-            r.compare(
-                f"color split m={m} k={k}",
-                split,
-                count_nonattacking(board, BISHOP_MOVES, k),
-            )
-    results.append(r)
-
-    return results
+            colors.compare(f"color split m={m} k={k}", _at(product, k), _at(counts["bishop"], k))
+    return [*closed.values(), split, colors]
 
 
 def suite_collapse(m_max: int = 6) -> list[CheckResult]:
@@ -146,13 +123,14 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("extended Stirling: first/second kind duality")
+    # Row k holds the coefficients of x(x+1)...(x+k-1), whose x^n term is
+    # the unsigned first-kind number c(k, n), built without the kernel's table.
+    rising = [(1,)]
+    for k in range(12):
+        rising.append(convolve(rising[-1], (k, 1)))
     for n in range(13):
         for k in range(13):
-            r.compare(
-                f"duality n={n} k={k}",
-                stirling2(-n, -k),
-                stirling1_unsigned(k, n) if k >= 0 else 0,
-            )
+            r.compare(f"duality n={n} k={k}", stirling2(-n, -k), _at(rising[k], n))
     results.append(r)
 
     r = CheckResult("first-kind alternating row sums vanish")
@@ -271,7 +249,8 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
     from . import quasipoly
 
     # Each rook vector is built once per parity shift and serves every group
-    # that reads it: even boards share one set for both colors.
+    # that reads it.  The one-color rook counts are period-2 quasipolynomials
+    # whose even-board vector is shared by both colors.
     ks = range(k_max + 1)
     bishop, white, black = [], [], []
     for k in ks:
@@ -282,34 +261,28 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
                 2 * k, 2, tuple(tuple(quasipoly._bishop_from_rooks(k, *pair)) for pair in pairs)
             )
         )
-        even_rooks = quasipoly._rook_coeffs(k, even)
-        white.append([even_rooks, quasipoly._rook_coeffs(k, odd_white)])
-        black.append([even_rooks, quasipoly._rook_coeffs(k, odd_black)])
+        even_rooks = tuple(quasipoly._rook_coeffs(k, even))
+        for rooks, odd in ((white, odd_white), (black, odd_black)):
+            odd_rooks = tuple(quasipoly._rook_coeffs(k, odd))
+            rooks.append(quasipoly.QuasiPolynomial(2 * k, 2, (even_rooks, odd_rooks)))
     anassa = [quasipoly.anassa_quasipolynomial(k) for k in ks]
     results = []
 
-    r = CheckResult("bishop quasipolynomial round trip")
-    for k, qp in enumerate(bishop):
-        for m in range(2 * k + 7):
-            r.compare(f"bishop k={k} m={m}", qp.evaluate(m), formulas.bishops(m, k))
-    results.append(r)
-
-    r = CheckResult("anassa polynomial round trip")
-    for k, qp in enumerate(anassa):
-        for m in range(2 * k + 7):
-            r.compare(f"anassa k={k} m={m}", qp.evaluate(m), formulas.anassas(m, k))
-    results.append(r)
-
-    r = CheckResult("one-color rook coefficient round trip")
-    for k in ks:
-        for par in (0, 1):
-            for m in range(par, 2 * k + 7, 2):
-                powers = [m**d for d in range(2 * k + 1)]
-                val_w = quasipoly._weighted_sum(white[k][par], powers)
-                val_b = quasipoly._weighted_sum(black[k][par], powers)
-                r.compare(f"white k={k} m={m}", val_w, formulas.white_rooks(m, k))
-                r.compare(f"black k={k} m={m}", val_b, formulas.black_rooks(m, k))
-    results.append(r)
+    round_trips = [
+        ("bishop quasipolynomial round trip", [("bishop", bishop, formulas.bishops)]),
+        ("anassa polynomial round trip", [("anassa", anassa, formulas.anassas)]),
+        (
+            "one-color rook coefficient round trip",
+            [("white", white, formulas.white_rooks), ("black", black, formulas.black_rooks)],
+        ),
+    ]
+    for name, families in round_trips:
+        r = CheckResult(name)
+        for label, qps, closed in families:
+            for k, qp in enumerate(qps):
+                for m in range(2 * k + 7):
+                    r.compare(f"{label} k={k} m={m}", qp.evaluate(m), closed(m, k))
+        results.append(r)
 
     r = CheckResult("coefficient structure: periods, divisibility, denominators")
     expected_period = {0: 1, 1: 1, 2: 1, 3: 2}
@@ -325,14 +298,14 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
         except ArithmeticError as exc:
             r.failures.append(f"anassa k={k} not divisible by the falling factorial: {exc}")
         bound = math.factorial(2 * k) * 4**k
-        for vec2 in (vec, *bishop[k].coeffs, *white[k]):
+        for vec2 in (vec, *bishop[k].coeffs, *white[k].coeffs):
             r.checks += 1
             bad = [c for c in vec2 if bound % c.denominator]
             if bad:
                 r.failures.append(f"k={k}: denominators {bad} exceed (2k)! * 4^k")
         r.compare(f"anassa lead k={k}", vec[2 * k], Fraction(1, math.factorial(k)))
         lead = Fraction(1, 2**k * math.factorial(k))
-        r.compare(f"white rook lead k={k}", white[k][0][2 * k], lead)
+        r.compare(f"white rook lead k={k}", white[k].coeffs[0][2 * k], lead)
     results.append(r)
 
     return results

@@ -22,6 +22,7 @@ from chesscount import (
     square_board,
     verify_collapse,
 )
+from chesscount import board as board_module
 
 # --- move sets ---
 
@@ -273,3 +274,17 @@ def test_collapse_one_size_down():
     for piece, bound in (("bishop", lambda m: max(2 * m - 2, 1)), ("anassa", lambda m: m)):
         for m in range(1, 6):
             assert verify_collapse(m, piece, bound(m) + 1), (piece, m)
+
+
+def test_collapse_fails_without_the_inductive_subset(monkeypatch):
+    # The other piece's subset has as many squares, but removing it leaves a
+    # board whose counts first differ from the smaller board's at size `first`.
+    subset = board_module.inductive_subset
+    other = {"bishop": "anassa", "anassa": "bishop"}
+    monkeypatch.setattr(board_module, "inductive_subset", lambda m, piece: subset(m, other[piece]))
+    for piece, first in (("bishop", 3), ("anassa", 2)):
+        for m in (3, 4, 5):
+            assert verify_collapse(m, piece, -3), (piece, m)
+            assert verify_collapse(m, piece, first - 1), (piece, m)
+            assert not verify_collapse(m, piece, first), (piece, m)
+            assert not verify_collapse(m, piece, 2 * m), (piece, m)

@@ -5,12 +5,13 @@ select one with ``pytest -k <group id>``.  A test fails when its group
 failed, checked nothing, or its suite raised.
 """
 
+import functools
 import re
 
 import pytest
 
-from chesscount import quasipoly, verify
-from chesscount.verify import SUITES, suite_coeffs, suite_identities
+from chesscount import board, formulas, kernel, quasipoly, verify
+from chesscount.verify import SUITES, suite_coeffs, suite_identities, suite_oracle
 
 GROUPS = [
     ("oracle", "bishop closed form vs brute force"),
@@ -84,3 +85,50 @@ def test_coeffs_suite_builds_each_rook_vector_once(monkeypatch):
     monkeypatch.setattr(quasipoly, "_rook_vectors", counted)
     assert all(r.ok for r in suite_coeffs(6))
     assert sorted(calls) == [(k, z) for k in range(7) for z in (-1, 0, 1)]
+
+
+def test_duality_compares_against_the_rising_factorial(monkeypatch):
+    def group():
+        results = suite_identities(m_max=2, k_max=1)
+        return next(r for r in results if r.name == "extended Stirling: first/second kind duality")
+
+    assert group().ok
+    # One interior first-kind entry off, c(5, 3), and every entry built from it.
+    monkeypatch.setattr(
+        kernel, "_STIRLING1", kernel._Diagonals(lambda t, c: (t + c - 1 + ((t, c) == (2, 3)), 1))
+    )
+    broken = group()
+    assert broken.checks == 169
+    assert broken.failures and broken.failures[0].startswith("duality n=3 k=5:")
+
+
+def test_oracle_computes_each_profile_once(monkeypatch):
+    calls = []
+    search = board._profile.__wrapped__
+
+    def counted(board_, moves):
+        calls.append((board_, moves))
+        return search(board_, moves)
+
+    monkeypatch.setattr(board, "_profile", functools.lru_cache(maxsize=8)(counted))
+    assert all(r.ok for r in suite_oracle(10))
+    assert len(calls) == len(set(calls)) == 41
+
+
+def test_oracle_groups_stay_apart(monkeypatch):
+    anassas = formulas.anassas
+    monkeypatch.setattr(formulas, "anassas", lambda m, k: anassas(m, k) + ((m, k) == (4, 2)))
+    failed = [r for r in suite_oracle(5) if not r.ok]
+    assert [r.name for r in failed] == ["anassa closed form vs brute force"]
+    assert len(failed[0].failures) == 1
+    assert failed[0].failures[0].startswith("anassa m=4 k=2:")
+
+
+def test_rook_round_trip_names_the_broken_color(monkeypatch):
+    black_rooks = formulas.black_rooks
+    monkeypatch.setattr(
+        formulas, "black_rooks", lambda m, k: black_rooks(m, k) + ((m, k) == (5, 2))
+    )
+    group = next(r for r in suite_coeffs(3) if r.name == "one-color rook coefficient round trip")
+    assert group.failures and group.failures[0].startswith("black k=2 m=5:")
+    assert all(f.startswith("black ") for f in group.failures)
