@@ -6,71 +6,151 @@ Output formats: csv, tsv and json; ``table`` also writes bfile (``index
 value`` lines with ``#`` headers).  Exit codes: 0 success, 1 verification or
 I/O failure, 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
+
+The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
+plain form from it directly and hands any other argv to the argparse parser
+that ``build_parser`` makes from it, so argparse loads only for help and
+usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Sequence
 
-# Only the layer every subcommand but ``verify`` needs: the others load
-# where they are used, so each process imports what its subcommand runs.
-from . import formulas
-
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
-_TEXT_FORMATS = ("csv", "tsv", "json")
-_TABLE_FORMATS = ("csv", "tsv", "bfile", "json")
+_PIECE = ("piece", {"choices": ("bishop", "anassa")})
+_OUT = ("--out", {"metavar": "PATH", "help": "write output to PATH instead of stdout"})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _format(*choices: str) -> tuple[str, dict]:
+    return "--format", {"choices": choices, "default": "csv", "help": "output format (default: csv)"}
+
+
+# Each subcommand's summary and arguments: a name and the keywords argparse
+# takes for it, options in the order ``--help`` lists them.  ``_read`` knows
+# the keywords used here: choices, type, default and action="store_true".
+GRAMMAR = {
+    "count": ("one closed-form count", [
+        _format("csv", "tsv", "json"),
+        _OUT,
+        _PIECE,
+        ("m", {"type": int, "help": "board size (any integer)"}),
+        ("k", {"type": int, "help": "number of pieces"}),
+        ("--below", {
+            "type": int, "metavar": "P", "default": None,
+            "help": "anassa only: count placements with exactly P pieces below the main diagonal",
+        }),
+    ]),
+    "table": ("triangle of counts for m = 0..M", [
+        _format("csv", "tsv", "bfile", "json"),
+        _OUT,
+        _PIECE,
+        ("m_max", {"type": int, "help": "largest board size"}),
+        ("--rect", {
+            "action": "store_true", "default": False,
+            "help": "pad every row with zeros to a common width instead of truncating at feasibility",
+        }),
+        ("--offset", {
+            "type": int, "default": None,
+            "help": "starting index for bfile output (default: 0; only with --format bfile)",
+        }),
+    ]),
+    "coeffs": ("quasipolynomial coefficients for fixed k", [
+        _format("csv", "tsv", "json"),
+        _OUT,
+        _PIECE,
+        ("k", {"type": int, "help": "number of pieces"}),
+    ]),
+    "verify": ("run self-check suites", [
+        _OUT,
+        ("suite", {"choices": ("oracle", "identities", "collapse", "coeffs", "all")}),
+        ("--m-max", {"type": int, "default": None, "help": "override board-size bound"}),
+        ("--k-max", {"type": int, "default": None, "help": "override piece-count bound"}),
+    ]),
+}
+
+
+class _Request:
+    """One request's fields, named as argparse names them: ``command`` and each argument."""
+
+    def __init__(self, **fields: object) -> None:
+        self.__dict__.update(fields)
+
+
+class _UsageError(Exception):
+    """A request the grammar admits but its subcommand refuses; ``main`` exits 2 with it."""
+
+
+def build_parser():
+    """The argparse parser for GRAMMAR, with each subcommand's parser as its ``parser`` default."""
+    import argparse  # only for help and usage errors
+
     parser = argparse.ArgumentParser(
         prog="chesscount",
         description="Exact counts of nonattacking bishop and anassa placements on m x m boards.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def subcommand(name, handler, summary, formats=()) -> argparse.ArgumentParser:
+    for name, (summary, arguments) in GRAMMAR.items():
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler, parser=p)
-        if formats:
-            p.add_argument(
-                "--format", choices=formats, default="csv", help="output format (default: csv)"
-            )
-        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-        return p
-
-    p = subcommand("count", cmd_count, "one closed-form count", _TEXT_FORMATS)
-    p.add_argument("piece", choices=["bishop", "anassa"])
-    p.add_argument("m", type=int, help="board size (any integer)")
-    p.add_argument("k", type=int, help="number of pieces")
-    p.add_argument(
-        "--below", type=int, metavar="P", default=None,
-        help="anassa only: count placements with exactly P pieces below the main diagonal",
-    )
-
-    p = subcommand("table", cmd_table, "triangle of counts for m = 0..M", _TABLE_FORMATS)
-    p.add_argument("piece", choices=["bishop", "anassa"])
-    p.add_argument("m_max", type=int, help="largest board size")
-    p.add_argument(
-        "--rect", action="store_true",
-        help="pad every row with zeros to a common width instead of truncating at feasibility",
-    )
-    p.add_argument(
-        "--offset", type=int, default=None,
-        help="starting index for bfile output (default: 0; only with --format bfile)",
-    )
-
-    p = subcommand("coeffs", cmd_coeffs, "quasipolynomial coefficients for fixed k", _TEXT_FORMATS)
-    p.add_argument("piece", choices=["bishop", "anassa"])
-    p.add_argument("k", type=int, help="number of pieces")
-
-    p = subcommand("verify", cmd_verify, "run self-check suites")
-    p.add_argument("suite", choices=["oracle", "identities", "collapse", "coeffs", "all"])
-    p.add_argument("--m-max", type=int, default=None, help="override board-size bound")
-    p.add_argument("--k-max", type=int, default=None, help="override piece-count bound")
-
+        p.set_defaults(parser=p)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
     return parser
+
+
+def _read(argv: Sequence[str]) -> _Request | None:
+    """The request ``argv`` spells in plain form, read by GRAMMAR; None for any other argv.
+
+    Plain form is a subcommand, then its positionals and options in any
+    order: each option spelled in full, given at most once and followed by
+    its value, no value that starts with ``-``, and every value of its type
+    and among its choices.  Help requests, abbreviations, ``--opt=value``,
+    negative numbers and every malformed argv are left to argparse, which
+    reads the same plain argv into the same fields.
+    """
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    fields: dict[str, object] = {"command": argv[0]}
+    positionals, options = [], {}
+    for name, keywords in GRAMMAR[argv[0]][1]:
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, keywords
+            fields[dest] = keywords.get("default")
+        else:
+            positionals.append((name, keywords))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            name, keywords = options.pop(token)  # so a repeat is declined
+            if keywords.get("action") == "store_true":
+                fields[name] = True
+                continue
+            token = next(tokens, "-")  # a missing value is declined as a dash
+        elif positionals and not token.startswith("-"):
+            name, keywords = positionals.pop(0)
+        else:
+            return None
+        if token.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        fields[name] = value
+    return None if positionals else _Request(**fields)
+
+
+def _parse(argv: Sequence[str]) -> _Request:
+    """Read ``argv`` with argparse; help and usage errors print and exit there."""
+    args, extra = build_parser().parse_known_args(argv, _Request())
+    # Each subcommand's parser, so a usage error prints that subcommand's usage.
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -92,14 +172,16 @@ def _emit_json(payload: dict, out: str | None) -> int:
     return _emit(json.dumps(payload) + "\n", out)
 
 
-def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_count(args: _Request) -> int:
+    from . import formulas
+
     if args.k < 0:
-        parser.error(f"k must be >= 0, got {args.k}")
+        raise _UsageError(f"k must be >= 0, got {args.k}")
     if args.below is not None:
         if args.piece != "anassa":
-            parser.error("--below applies only to the anassa")
+            raise _UsageError("--below applies only to the anassa")
         if args.below < 0:
-            parser.error(f"--below must be >= 0, got {args.below}")
+            raise _UsageError(f"--below must be >= 0, got {args.below}")
         value = formulas.anassas_split(args.m, args.k, args.below)
     else:
         value = formulas.count(args.piece, args.m, args.k)
@@ -112,7 +194,7 @@ def cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return _emit(f"{value}\n", args.out)
 
 
-def _table_bfile(table: formulas.CountTable, rect: bool, offset: int) -> str:
+def _table_bfile(table, rect: bool, offset: int) -> str:
     bound = "padded to a common width" if rect else "truncated at the last nonzero count"
     lines = [
         f"# nonattacking {table.piece} placements on m x m boards",
@@ -145,11 +227,13 @@ def parse_bfile(text: str) -> tuple[int, list[int]]:
     return start, [value for _, value in entries]
 
 
-def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_table(args: _Request) -> int:
+    from . import formulas
+
     if args.m_max < 0:
-        parser.error(f"m_max must be >= 0, got {args.m_max}")
+        raise _UsageError(f"m_max must be >= 0, got {args.m_max}")
     if args.offset is not None and args.format != "bfile":
-        parser.error("--offset applies only to --format bfile")
+        raise _UsageError("--offset applies only to --format bfile")
     table = formulas.count_table(args.piece, args.m_max, rect=args.rect)
     if args.format == "json":
         payload = {
@@ -166,11 +250,11 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return _emit(text, args.out)
 
 
-def cmd_coeffs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_coeffs(args: _Request) -> int:
     from . import quasipoly
 
     if args.k < 0:
-        parser.error(f"k must be >= 0, got {args.k}")
+        raise _UsageError(f"k must be >= 0, got {args.k}")
     if args.piece == "bishop":
         qp = quasipoly.bishop_quasipolynomial(args.k)
     else:
@@ -190,13 +274,13 @@ def cmd_coeffs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return _emit(text, args.out)
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args: _Request) -> int:
     from . import verify
 
     try:
         verify.check_bounds(args.suite, args.m_max, args.k_max)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from None
     results = verify.run_suite(args.suite, m_max=args.m_max, k_max=args.k_max)
     lines = []
     total_checks = sum(r.checks for r in results)
@@ -217,11 +301,17 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    # Each subcommand's parser, so a usage error prints that subcommand's usage.
-    if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.handler(args, args.parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        args = _parse(argv)
+    handlers = {"count": cmd_count, "table": cmd_table, "coeffs": cmd_coeffs, "verify": cmd_verify}
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        # argparse reads the argv again only to report the refusal with the
+        # subcommand's usage, as it reports its own errors.
+        _parse(argv).parser.error(str(exc))
 
 
 if __name__ == "__main__":

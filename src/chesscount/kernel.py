@@ -9,7 +9,6 @@ Everything here is exact: no floats, no overflow, ``int`` in, ``int`` out.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable, Iterator, Sequence
 
 
@@ -88,31 +87,29 @@ class _Diagonals:
     G(0, 0) = 1 and G = 0 at t = -1 or c = -1; ``coeffs(t, c)`` returns the
     pair (a, b).  Diagonal t holds G(t, 0), G(t, 1), ...  A miss at (t, c)
     extends diagonals 0..t to column c, so a lookup builds O(t*c) entries.
-    Entries are only appended, under a lock, so concurrent readers always
-    observe fully built values.
+    Entries are only appended.  The table takes no lock: nothing in the
+    package reads it from more than one thread.
     """
 
     def __init__(self, coeffs: Callable[[int, int], tuple[int, int]]):
         self._diags: list[list[int]] = [[1]]
         self._coeffs = coeffs
-        self._lock = threading.Lock()
 
     def at(self, t: int, c: int) -> int:
         diags = self._diags
         if t >= len(diags) or c >= len(diags[t]):
-            with self._lock:
-                while len(diags) <= t:
-                    diags.append([])
-                # Diagonal d-1 reaches column c before diagonal d grows.
-                above = [0] * (c + 1)  # diagonal -1
-                for d in range(t + 1):
-                    diag = diags[d]
-                    left = diag[-1] if diag else 0
-                    for col in range(len(diag), c + 1):
-                        a, b = self._coeffs(d, col)
-                        left = a * above[col] + b * left
-                        diag.append(left)
-                    above = diag
+            while len(diags) <= t:
+                diags.append([])
+            # Diagonal d-1 reaches column c before diagonal d grows.
+            above = [0] * (c + 1)  # diagonal -1
+            for d in range(t + 1):
+                diag = diags[d]
+                left = diag[-1] if diag else 0
+                for col in range(len(diag), c + 1):
+                    a, b = self._coeffs(d, col)
+                    left = a * above[col] + b * left
+                    diag.append(left)
+                above = diag
         return diags[t][c]
 
 

@@ -87,11 +87,14 @@ def _bishop_from_rooks(
     # Bishop coefficients from the white and black _rook_vectors(k, .) of one
     # parity class.  Split j pairs white vector j, over 4^k (2j)!, with black
     # vector k - j, over 4^k (2k-2j)!; scaled by C(2k, 2j), every product lies
-    # over 16^k (2k)!.
-    products = (
-        convolve([math.comb(2 * k, 2 * j) * c for c in white[j]], black[k - j])
-        for j in range(k + 1)
-    )
+    # over 16^k (2k)!.  When the two colors' vectors are equal (even m), split
+    # k - j gives the same product as split j, as C(2k, 2j) = C(2k, 2k - 2j),
+    # so each such pair is convolved once and counted twice.
+    same = white == black
+    products = []
+    for j in range(k // 2 + 1 if same else k + 1):
+        weight = math.comb(2 * k, 2 * j) * (2 if same and 2 * j != k else 1)
+        products.append(convolve([weight * c for c in white[j]], black[k - j]))
     den = 16**k * math.factorial(2 * k)
     return [Fraction(sum(column), den) for column in zip(*products)]
 

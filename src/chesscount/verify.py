@@ -52,16 +52,18 @@ _PAST_MAX = 2  # sizes checked past the largest feasible one, where both sides m
 def suite_oracle(m_max: int = 5) -> list[CheckResult]:
     """All closed-form counts against exhaustive search on small boards."""
     from .board import (
+        ANASSA_MOVES,
         BISHOP_MOVES,
         PIECES,
+        _profile,
         bishop_color_board,
-        count_nonattacking_below_diag,
         placement_counts,
         square_board,
     )
 
     # One pass over m reads each board's profile once: a step holds at most
-    # four boards, which the profile cache keeps for every repeat read.
+    # four boards, which the profile cache keeps for every repeat read.  The
+    # anassa split is read from the profile of the step's own square board.
     closed = {piece: CheckResult(f"{piece} closed form vs brute force") for piece in PIECES}
     split = CheckResult("anassa diagonal split vs brute force")
     colors = CheckResult("bishop counts factor over the two colors")
@@ -74,12 +76,13 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
                 closed[piece].compare(
                     f"{piece} m={m} k={k}", formulas.count(piece, m, k), _at(counts[piece], k)
                 )
+        below = _profile(board, ANASSA_MOVES)
         for k in range(m + 1):
             for p in range(k + 2):
                 split.compare(
                     f"anassa m={m} k={k} p={p}",
                     formulas.anassas_split(m, k, p),
-                    count_nonattacking_below_diag(m, k, p),
+                    below.get((k, p), 0),
                 )
         product = convolve(
             *(placement_counts(bishop_color_board(m, c), BISHOP_MOVES) for c in ("white", "black"))

@@ -14,7 +14,8 @@ import pytest
 
 from chesscount import anassa_quasipolynomial, bishop_quasipolynomial, cli, count_table
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run_cli(*args, preexec_fn=None):
@@ -204,6 +205,102 @@ def test_usage_error_shows_the_subcommands_usage(argv, capsys):
     assert captured.err.startswith(f"usage: chesscount {argv[0]}")
 
 
+# SHA-256 of [exit code, stdout, stderr] as JSON, at 80 columns, that each
+# argv printed when the CLI still read every request with argparse.
+# argparse's wording changes between Python versions, so the digests hold
+# only for the version they were taken under.
+ARGPARSE_ONLY_SHA256 = {
+    "--help": "5e431a1cbc53e58cfdf8e789e2aacb322f5b1228c422930f2525e7ef02ccfd2d",
+    "count --help": "d39f95824b9f1865efadcff80b6dca58c21623f909913bac268b7d2a283905d7",
+    "table --help": "8e54758708ceb6ec9b063ba9376ffae6e2fbf4e295dd1a2f2c34f7706e44a258",
+    "coeffs --help": "09678a4ae7824ce4ea77ba61ba4d62d89ed815b22d35e00a23ad9dded322b81e",
+    "verify --help": "0f6483aa18b9108a582c1e95e49b3b01c6b53d6e6f72b370990b6a7f65f2d8d6",
+    "count queen 4 1": "68bf999ca69a5c76bdd2be430848b05f874d49885bea9ae357d5d2a45a6ec6d7",
+    "count bishop 4 -1": "863b588e2a425d74a02b48c568e721746e86a824cd16dfddf894f9f3c076560e",
+    "count bishop 4 2 --below 1": "1a4b48acceff0094dd826274dab34195ad51fc0242681ea549ce6753643b0e0d",
+    "count anassa 4 2 --below -1": "3dbf9d342f9213aa36148b29d49b0a0c6c79640e76ed20a75cebeb0c25258fa6",
+    "count bishop 4 2 --format bfile": "4b6243718087c3580c8b78f8445de58c992f6240d2cdac5a5a5b4ecab351e766",
+    "coeffs bishop -2": "dd6920ac6fafa6150faf60df54a45d9a9849d9f938dec0e29fdd319d53ade699",
+    "coeffs bishop 2 --format bfile": "d2ba9199fbb3003233ca8ed208730380436336428a1c6c1c43f3102ac2d9f983",
+    "table bishop -3": "cd43953732d6d0f1659fe4e81253bfd6bc979085b86ed8dc368cc53e53b874b4",
+    "table bishop 4 --format yaml": "ff7014a2d93800f1c7b97103c790a3fd1a00b0758ee89288224bc4b17b50aa0a",
+    "table bishop 3 --offset 5": "4b69120e1de11d9afe040f9859732e643abb2401d513c30e5ac5af97e185c331",
+    "verify everything": "e3812db03edd5708af50ed8fb3a2b3fedf8f43d37d1af3037c9d9b9b29b735e9",
+    "verify identities --m-max -1": "255906471ad5c9b08ae076626eeefec9f09feeacd66f1480d91712f1fbdc4d88",
+    "verify coeffs --k-max -1": "a8c1a6cb4c68385ad37ae760ea9adda89b1290d781874ab4a0de4fff563d46af",
+    "verify oracle --k-max 3": "abbcfeaeb0078f68d3be604e8c615536dd0b2ee9ccc78be1bb6efced417057c8",
+    "verify coeffs --m-max 2": "4e9492088a7bec8f9b458ac81067b6604311cb64c92f2348e0f1c82c4efb6825",
+    "verify collapse --m-max 3 --format json": "2758a0b97516ddb65efbfed2321dfddb8ebc79e868529dc28cb51d556c3b785c",
+    "count bishop 3 2 --bogus": "e496e2496297f273dd4b8dc776a8410a77d2d4e60bfe0dbfe5980a04ae8c0cd8",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests taken under Python 3.11")
+@pytest.mark.parametrize("line", ARGPARSE_ONLY_SHA256)
+def test_help_and_usage_errors_print_what_argparse_alone_printed(line, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(line.split())
+    captured = capsys.readouterr()
+    printed = json.dumps([excinfo.value.code, captured.out, captured.err])
+    assert hashlib.sha256(printed.encode()).hexdigest() == ARGPARSE_ONLY_SHA256[line]
+
+
+# --- the direct reader: plain argv without argparse ---
+
+
+def argparse_fields(parser, argv):
+    """The fields argparse reads from ``argv``, without the subcommand parser it records."""
+    args, extra = parser.parse_known_args(argv)
+    assert not extra
+    fields = vars(args)
+    del fields["parser"]
+    return fields
+
+
+def test_reader_reads_every_benchmark_request_as_argparse_does():
+    parser = cli.build_parser()
+    pins = json.loads((ROOT / "bench" / "pins.json").read_text())["pins"]
+    for line in pins:
+        request = cli._read(line.split())
+        assert request is not None, line
+        assert vars(request) == argparse_fields(parser, line.split()), line
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["count", "--format", "json", "--below", "1", "anassa", "5", "3"], True),
+        (["table", "anassa", "--rect", "3", "--offset", "2", "--format", "bfile"], True),
+        (["count", "anassa", "1_000", "2"], True),
+        (["count", "anassa", " 7", "2"], True),
+        (["verify", "all", "--k-max", "2", "--m-max", "3"], True),
+        (["count", "anassa", "-1", "3"], False),
+        (["count", "bishop", "3", "2", "--format=json"], False),
+        (["count", "bishop", "3", "2", "--form", "json"], False),
+        (["count", "bishop", "3", "2", "--format", "json", "--format", "tsv"], False),
+        (["table", "anassa", "3", "--rect", "--rect"], False),
+        (["count", "bishop", "3", "2", "--out", "-"], False),
+        (["coeffs", "bishop", "3", "--help"], False),
+        (["-h"], False),
+        ([], False),
+        (["tally", "bishop", "3"], False),
+        (["count", "queen", "3", "2"], False),
+        (["count", "bishop", "three", "2"], False),
+        (["count", "bishop", "3"], False),
+        (["count", "bishop", "3", "2", "1"], False),
+        (["count", "bishop", "3", "2", "--below"], False),
+        (["verify", "all", "--format", "json"], False),
+    ],
+)
+def test_reader_reads_plain_argv_as_argparse_does_and_declines_the_rest(argv, read):
+    request = cli._read(argv)
+    if not read:
+        assert request is None
+    else:
+        assert vars(request) == argparse_fields(cli.build_parser(), argv)
+
+
 # --- imports: each subcommand loads only the layers it runs ---
 
 
@@ -221,6 +318,11 @@ def modules_after(code):
     return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
 
+# A request in plain form is read without argparse, and so without the
+# gettext and locale it imports; nothing in the package starts a thread.
+FRONT_END = {"argparse", "gettext", "locale", "threading"}
+
+
 def test_count_and_table_load_no_other_layer_or_heavy_library():
     runs = [
         ["count", "bishop", "8", "2"],
@@ -230,7 +332,7 @@ def test_count_and_table_load_no_other_layer_or_heavy_library():
     loaded = modules_after(f"from chesscount import cli\nfor argv in {runs!r}: cli.main(argv)")
     unwanted = {
         "dataclasses", "inspect", "fractions", "decimal", "json", "typing",
-        "chesscount.board", "chesscount.quasipoly", "chesscount.verify",
+        "chesscount.board", "chesscount.quasipoly", "chesscount.verify", *FRONT_END,
     }
     assert loaded & unwanted == set()
     assert "chesscount.formulas" in loaded
@@ -238,7 +340,7 @@ def test_count_and_table_load_no_other_layer_or_heavy_library():
 
 def test_coeffs_loads_no_dataclasses_inspect_or_json():
     loaded = modules_after("from chesscount import cli\ncli.main(['coeffs', 'bishop', '3'])")
-    assert loaded & {"dataclasses", "inspect", "json"} == set()
+    assert loaded & {"dataclasses", "inspect", "json", "chesscount.formulas", *FRONT_END} == set()
     assert "chesscount.quasipoly" in loaded
 
 
@@ -256,7 +358,7 @@ def test_coeffs_loads_no_dataclasses_inspect_or_json():
 )
 def test_verify_loads_only_the_layers_its_suite_uses(argv, unwanted):
     loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
-    assert loaded & unwanted == set()
+    assert loaded & (unwanted | FRONT_END) == set()
     assert "chesscount.verify" in loaded
 
 

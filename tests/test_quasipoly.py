@@ -28,6 +28,7 @@ from chesscount import (
     white_rook_coeffs,
     white_rooks,
 )
+from chesscount import kernel, quasipoly
 from helpers import interpolate, polyval
 
 # --- basis change coefficients ---
@@ -166,6 +167,22 @@ def test_bishop_coeffs_match_interpolation():
     for k in (*range(13), 20):
         for par in (0, 1):
             assert bishop_coeffs(k, par) == _interpolated(bishops, k, par), (k, par)
+
+
+def test_even_parity_convolves_each_pair_of_splits_once(monkeypatch):
+    # At even m both colors have the same rook vectors, so split j and split
+    # k - j give one product: k // 2 + 1 convolutions, against k + 1 at odd m.
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return kernel.convolve(a, b)
+
+    monkeypatch.setattr(quasipoly, "convolve", counted)
+    for k, par, want in ((40, 0, 21), (40, 1, 41), (5, 0, 3), (0, 0, 1)):
+        calls.clear()
+        bishop_coeffs(k, par)
+        assert len(calls) == want, (k, par)
 
 
 def test_bishop_coeffs_leading_term():

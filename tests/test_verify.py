@@ -115,6 +115,21 @@ def test_oracle_computes_each_profile_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 41
 
 
+def test_oracle_builds_each_square_board_once_per_reader(monkeypatch):
+    # The suite's own board, and the one each bishop_color_board starts from;
+    # the anassa split reads the profile of the suite's board.
+    sizes = []
+    build = board.square_board
+
+    def counted(m):
+        sizes.append(m)
+        return build(m)
+
+    monkeypatch.setattr(board, "square_board", counted)
+    assert all(r.ok for r in suite_oracle(10))
+    assert sorted(sizes) == sorted(3 * list(range(11)))
+
+
 def test_oracle_groups_stay_apart(monkeypatch):
     anassas = formulas.anassas
     monkeypatch.setattr(formulas, "anassas", lambda m, k: anassas(m, k) + ((m, k) == (4, 2)))
