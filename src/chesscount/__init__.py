@@ -20,7 +20,7 @@ _EXPORTS = {
     "board": """ANASSA_MOVES BISHOP_MOVES PIECES Board MoveSet Placement attacks
         bishop_color_board count_nonattacking count_nonattacking_below_diag
         inductive_subset is_nonattacking placement_counts square_board verify_collapse""",
-    "formulas": """CountTable anassa_split_rows anassas anassas_by_split_sum
+    "formulas": """CountTable anassa_rows anassa_split_rows anassas anassas_by_split_sum
         anassas_diagonal anassas_split bishops black_rooks black_rooks_alt count
         count_table max_pieces rook_rows white_rooks white_rooks_alt""",
     "kernel": """assoc_stirling2 binomial falling_factorial parity stirling1_unsigned

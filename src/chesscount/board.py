@@ -186,8 +186,11 @@ def bishop_color_board(m: int, color: str) -> Board:
     if color not in ("white", "black"):
         raise ValueError(f"color must be 'white' or 'black', got {color!r}")
     want = 0 if color == "white" else 1
-    full = square_board(m)
-    return Board(m, frozenset(sq for sq in full.squares if (sq[0] + sq[1]) % 2 == want))
+    # Column c starts the color at row 1 when c + 1 has the color's parity.
+    squares = frozenset(
+        (c, r) for c in range(1, m + 1) for r in range(2 - (c + want) % 2, m + 1, 2)
+    )
+    return Board(m, squares)
 
 
 def inductive_subset(m: int, piece: str) -> Board:

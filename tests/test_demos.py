@@ -22,5 +22,5 @@ def test_demo_runs(demo):
 
 def test_readme_examples_pass():
     results = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
-    assert results.attempted == 8
+    assert results.attempted == 10
     assert results.failed == 0

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chesscount import (
+    anassa_rows,
     anassa_split_rows,
     anassas,
     anassas_by_split_sum,
@@ -21,6 +22,7 @@ from chesscount import (
     black_rooks_alt,
     count,
     count_table,
+    formulas,
     max_pieces,
     rook_rows,
     stirling2,
@@ -198,6 +200,20 @@ def test_anassa_split_sums_to_total():
             assert anassas_by_split_sum(m, k) == anassas(m, k), (m, k)
 
 
+def test_anassa_rows_sum_the_split_triangles():
+    for m, (row, tri) in enumerate(zip(anassa_rows(40), anassa_split_rows(40))):
+        assert row == tuple(map(sum, tri)), m
+
+
+def test_anassa_rows_match_closed_form():
+    for m, row in enumerate(anassa_rows(60)):
+        assert row == tuple(anassas(m, k) for k in range(m + 1)), m
+    *_, last = anassa_rows(300)
+    assert len(last) == 301
+    for k in (0, 1, 2, 3, 50, 149, 150, 151, 298, 299, 300):
+        assert last[k] == anassas(300, k), k
+
+
 def test_anassa_counts_vanish_beyond_feasibility():
     for m in range(9):
         for k in range(m + 1, m + 4):
@@ -232,6 +248,8 @@ def test_anassa_validation():
         anassas_split(3, 1, -1)
     with pytest.raises(ValueError):
         next(anassa_split_rows(-1))
+    with pytest.raises(ValueError):
+        next(anassa_rows(-1))
     with pytest.raises(ValueError):
         anassas_diagonal(-1)
 
@@ -297,3 +315,12 @@ def test_count_table_matches_closed_forms():
             assert padded[m] == closed + (0,) * (width - len(closed)), (piece, m)
     last = count_table("anassa", 120).rows[-1]
     assert last == tuple(count("anassa", 120, k) for k in range(121))
+
+
+def test_anassa_table_does_not_build_split_triangles(monkeypatch):
+    def refuse(m_max):
+        raise AssertionError("count_table summed the split triangles")
+
+    monkeypatch.setattr(formulas, "anassa_split_rows", refuse)
+    assert count_table("anassa", 30).rows[-1] == tuple(anassas(30, k) for k in range(31))
+    assert count_table("anassa", 30, rect=True).rows[2] == (1, 4, 3) + (0,) * 28

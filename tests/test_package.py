@@ -11,7 +11,7 @@ SUBMODULES = ("board", "formulas", "kernel", "quasipoly")
 
 def test_every_public_name_is_its_submodules_object():
     modules = [importlib.import_module(f"chesscount.{name}") for name in SUBMODULES]
-    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 47
+    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 48
     for name in chesscount.__all__:
         value = getattr(chesscount, name)
         assert any(vars(module).get(name) is value for module in modules), name

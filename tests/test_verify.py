@@ -116,8 +116,8 @@ def test_oracle_computes_each_profile_once(monkeypatch):
 
 
 def test_oracle_builds_each_square_board_once_per_reader(monkeypatch):
-    # The suite's own board, and the one each bishop_color_board starts from;
-    # the anassa split reads the profile of the suite's board.
+    # Only the suite's own board: the color boards are built from coordinates,
+    # and the anassa split reads the profile of the suite's board.
     sizes = []
     build = board.square_board
 
@@ -127,7 +127,7 @@ def test_oracle_builds_each_square_board_once_per_reader(monkeypatch):
 
     monkeypatch.setattr(board, "square_board", counted)
     assert all(r.ok for r in suite_oracle(10))
-    assert sorted(sizes) == sorted(3 * list(range(11)))
+    assert sizes == list(range(11))
 
 
 def test_oracle_groups_stay_apart(monkeypatch):
