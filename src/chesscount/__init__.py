@@ -28,7 +28,7 @@ _EXPORTS = {
     "quasipoly": """QuasiPolynomial anassa_coeffs anassa_quasipolynomial
         basis_change_coeff binomial_basis_to_monomials bishop_coeffs
         bishop_quasipolynomial black_rook_coeffs divide_by_falling_factorial
-        effective_period white_rook_coeffs""",
+        effective_period rook_and_bishop_quasipolynomials white_rook_coeffs""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -3,8 +3,9 @@
 Subcommands: ``count`` (one closed-form count), ``table`` (count triangle),
 ``coeffs`` (quasipolynomial coefficients), ``verify`` (self-check suites).
 Output formats: csv, tsv and json; ``table`` also writes bfile (``index
-value`` lines with ``#`` headers).  Exit codes: 0 success, 1 verification or
-I/O failure, 2 usage error.
+value`` lines with ``#`` headers).  Each row is written as it is formatted;
+json is written whole.  Exit codes: 0 success, 1 verification or I/O
+failure, 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
 
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
@@ -16,7 +17,8 @@ usage errors.
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from types import SimpleNamespace
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
 _PIECE = ("piece", {"choices": ("bishop", "anassa")})
@@ -71,13 +73,6 @@ GRAMMAR = {
 }
 
 
-class _Request:
-    """One request's fields, named as argparse names them: ``command`` and each argument."""
-
-    def __init__(self, **fields: object) -> None:
-        self.__dict__.update(fields)
-
-
 class _UsageError(Exception):
     """A request the grammar admits but its subcommand refuses; ``main`` exits 2 with it."""
 
@@ -99,7 +94,7 @@ def build_parser():
     return parser
 
 
-def _read(argv: Sequence[str]) -> _Request | None:
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The request ``argv`` spells in plain form, read by GRAMMAR; None for any other argv.
 
     Plain form is a subcommand, then its positionals and options in any
@@ -141,25 +136,28 @@ def _read(argv: Sequence[str]) -> _Request | None:
         if "choices" in keywords and value not in keywords["choices"]:
             return None
         fields[name] = value
-    return None if positionals else _Request(**fields)
+    return None if positionals else SimpleNamespace(**fields)
 
 
-def _parse(argv: Sequence[str]) -> _Request:
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
     """Read ``argv`` with argparse; help and usage errors print and exit there."""
-    args, extra = build_parser().parse_known_args(argv, _Request())
+    args, extra = build_parser().parse_known_args(argv, SimpleNamespace())
     # Each subcommand's parser, so a usage error prints that subcommand's usage.
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args
 
 
-def _emit(text: str, out: str | None) -> int:
+def _emit(chunks: Iterable[str], out: str | None) -> int:
+    """Write text chunks in order, each as it comes, to stdout or to the file ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return 0
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
     except OSError as exc:
         print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 1
@@ -169,10 +167,10 @@ def _emit(text: str, out: str | None) -> int:
 def _emit_json(payload: dict, out: str | None) -> int:
     import json  # only for --format json
 
-    return _emit(json.dumps(payload) + "\n", out)
+    return _emit([json.dumps(payload) + "\n"], out)
 
 
-def cmd_count(args: _Request) -> int:
+def cmd_count(args: SimpleNamespace) -> int:
     from . import formulas
 
     if args.k < 0:
@@ -191,18 +189,19 @@ def cmd_count(args: _Request) -> int:
             payload["below"] = args.below
         payload["count"] = value
         return _emit_json(payload, args.out)
-    return _emit(f"{value}\n", args.out)
+    return _emit([f"{value}\n"], args.out)
 
 
-def _table_bfile(table, rect: bool, offset: int) -> str:
+def _table_bfile(table, rect: bool, offset: int) -> Iterator[str]:
     bound = "padded to a common width" if rect else "truncated at the last nonzero count"
-    lines = [
-        f"# nonattacking {table.piece} placements on m x m boards",
-        f"# triangle rows m = 0..{table.m_max}, k ascending within each row ({bound})",
-        f"# single running index in row-major order, starting at {offset}",
-    ]
-    lines.extend(f"{offset + i} {v}" for i, v in enumerate(table.flatten()))
-    return "\n".join(lines) + "\n"
+    yield (
+        f"# nonattacking {table.piece} placements on m x m boards\n"
+        f"# triangle rows m = 0..{table.m_max}, k ascending within each row ({bound})\n"
+        f"# single running index in row-major order, starting at {offset}\n"
+    )
+    for row in table.rows:
+        yield "".join(f"{offset + k} {v}\n" for k, v in enumerate(row))
+        offset += len(row)
 
 
 def parse_bfile(text: str) -> tuple[int, list[int]]:
@@ -227,7 +226,7 @@ def parse_bfile(text: str) -> tuple[int, list[int]]:
     return start, [value for _, value in entries]
 
 
-def cmd_table(args: _Request) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     from . import formulas
 
     if args.m_max < 0:
@@ -246,11 +245,10 @@ def cmd_table(args: _Request) -> int:
     if args.format == "bfile":
         return _emit(_table_bfile(table, args.rect, args.offset or 0), args.out)
     sep = _SEPARATORS[args.format]
-    text = "".join(sep.join(str(v) for v in row) + "\n" for row in table.rows)
-    return _emit(text, args.out)
+    return _emit((sep.join(map(str, row)) + "\n" for row in table.rows), args.out)
 
 
-def cmd_coeffs(args: _Request) -> int:
+def cmd_coeffs(args: SimpleNamespace) -> int:
     from . import quasipoly
 
     if args.k < 0:
@@ -270,11 +268,10 @@ def cmd_coeffs(args: _Request) -> int:
         }
         return _emit_json(payload, args.out)
     sep = _SEPARATORS[args.format]
-    text = "".join(sep.join(str(c) for c in vec) + "\n" for vec in vectors)
-    return _emit(text, args.out)
+    return _emit((sep.join(map(str, vec)) + "\n" for vec in vectors), args.out)
 
 
-def cmd_verify(args: _Request) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import verify
 
     try:
@@ -294,7 +291,7 @@ def cmd_verify(args: _Request) -> int:
     lines.append(
         f"summary: {len(results)} check groups, {total_checks} checks, {total_failures} failures"
     )
-    status = _emit("\n".join(lines) + "\n", args.out)
+    status = _emit(["\n".join(lines) + "\n"], args.out)
     if status:
         return status
     return 0 if all(r.ok for r in results) else 1

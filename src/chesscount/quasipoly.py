@@ -6,6 +6,8 @@ in the board size m, with coefficients that may depend on the parity of m
 coefficient vectors exactly in the monomial basis.  They are built in
 integers, as numerators over one known denominator per vector, and each
 coefficient becomes a Fraction only in the last step, when it is returned.
+The rook and bishop vectors of one parity class come from one function, the
+only place that picks each color's parity shift.
 """
 
 from __future__ import annotations
@@ -75,12 +77,6 @@ def _rook_vectors(k: int, z: int) -> list[list[int]]:
     return [_monomial_numerators(ws) for ws in sums]
 
 
-def _rook_coeffs(k: int, vectors: Sequence[Sequence[int]]) -> list[Fraction]:
-    # The k-piece vector of _rook_vectors(k, z) as Fractions.
-    den = 4**k * math.factorial(2 * k)
-    return [Fraction(c, den) for c in vectors[k]]
-
-
 def _bishop_from_rooks(
     k: int, white: Sequence[Sequence[int]], black: Sequence[Sequence[int]]
 ) -> list[Fraction]:
@@ -99,11 +95,19 @@ def _bishop_from_rooks(
     return [Fraction(sum(column), den) for column in zip(*products)]
 
 
-def _check_count_parity(k: int, m_parity: int) -> None:
+def _parity_class(k: int, m_parity: int) -> tuple[list[Fraction], ...]:
+    # White rook, black rook and bishop coefficients on one parity class of m.
+    # White reads parity shift z = -m_parity and black z = +m_parity, so at
+    # even m the two colors share one rook vector set.
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
     if m_parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {m_parity}")
+    white = _rook_vectors(k, -m_parity)
+    black = _rook_vectors(k, m_parity) if m_parity else white
+    den = 4**k * math.factorial(2 * k)
+    rooks = ([Fraction(c, den) for c in vectors[k]] for vectors in (white, black))
+    return (*rooks, _bishop_from_rooks(k, white, black))
 
 
 def white_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
@@ -111,14 +115,12 @@ def white_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
 
     Valid for every m >= 0 with m % 2 == m_parity; length 2k + 1.
     """
-    _check_count_parity(k, m_parity)
-    return _rook_coeffs(k, _rook_vectors(k, -m_parity))
+    return _parity_class(k, m_parity)[0]
 
 
 def black_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
     """Monomial coefficients of m -> black_rooks(m, k) on one parity class."""
-    _check_count_parity(k, m_parity)
-    return _rook_coeffs(k, _rook_vectors(k, m_parity))
+    return _parity_class(k, m_parity)[1]
 
 
 def bishop_coeffs(k: int, m_parity: int) -> list[Fraction]:
@@ -128,10 +130,7 @@ def bishop_coeffs(k: int, m_parity: int) -> list[Fraction]:
     coefficient vectors; the product of a degree-2j and a degree-2(k-j)
     vector lands exactly in degree 2k, so no truncation is involved.
     """
-    _check_count_parity(k, m_parity)
-    white = _rook_vectors(k, -m_parity)
-    black = _rook_vectors(k, m_parity) if m_parity else white
-    return _bishop_from_rooks(k, white, black)
+    return _parity_class(k, m_parity)[2]
 
 
 def anassa_coeffs(k: int) -> list[Fraction]:
@@ -200,11 +199,18 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "degree period coeffs")):
         return int(total)
 
 
+def rook_and_bishop_quasipolynomials(k: int) -> tuple[QuasiPolynomial, ...]:
+    """White-rook, black-rook and bishop counts for fixed k as period-2 quasipolynomials.
+
+    All three come from one rook vector set per parity shift (ValueError if k < 0).
+    """
+    classes = zip(*(_parity_class(k, m_parity) for m_parity in (0, 1)))
+    return tuple(QuasiPolynomial(2 * k, 2, tuple(map(tuple, pair))) for pair in classes)
+
+
 def bishop_quasipolynomial(k: int) -> QuasiPolynomial:
     """The bishop count for fixed k as a period-2 quasipolynomial in m."""
-    return QuasiPolynomial(
-        2 * k, 2, (tuple(bishop_coeffs(k, 0)), tuple(bishop_coeffs(k, 1)))
-    )
+    return rook_and_bishop_quasipolynomials(k)[2]
 
 
 def anassa_quasipolynomial(k: int) -> QuasiPolynomial:

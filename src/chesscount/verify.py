@@ -251,23 +251,10 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
 
     from . import quasipoly
 
-    # Each rook vector is built once per parity shift and serves every group
-    # that reads it.  The one-color rook counts are period-2 quasipolynomials
-    # whose even-board vector is shared by both colors.
+    # One constructor call per k builds each rook vector set once per parity
+    # shift and serves the bishop and both one-color rook families.
     ks = range(k_max + 1)
-    bishop, white, black = [], [], []
-    for k in ks:
-        odd_white, even, odd_black = (quasipoly._rook_vectors(k, z) for z in (-1, 0, 1))
-        pairs = ((even, even), (odd_white, odd_black))  # white and black, m even and odd
-        bishop.append(
-            quasipoly.QuasiPolynomial(
-                2 * k, 2, tuple(tuple(quasipoly._bishop_from_rooks(k, *pair)) for pair in pairs)
-            )
-        )
-        even_rooks = tuple(quasipoly._rook_coeffs(k, even))
-        for rooks, odd in ((white, odd_white), (black, odd_black)):
-            odd_rooks = tuple(quasipoly._rook_coeffs(k, odd))
-            rooks.append(quasipoly.QuasiPolynomial(2 * k, 2, (even_rooks, odd_rooks)))
+    white, black, bishop = zip(*map(quasipoly.rook_and_bishop_quasipolynomials, ks))
     anassa = [quasipoly.anassa_quasipolynomial(k) for k in ks]
     results = []
 

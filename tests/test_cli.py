@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,33 @@ def test_table_bfile_round_trip(capsys):
     start, values = cli.parse_bfile(text)
     assert start == 5
     assert values == count_table("anassa", 4).flatten()
+
+
+def test_table_writes_stdout_once_per_row(monkeypatch):
+    writes = []
+
+    class Stdout:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert cli.main(["table", "anassa", "30"]) == 0
+    rows = count_table("anassa", 30).rows
+    assert writes == [",".join(map(str, row)) + "\n" for row in rows]
+
+
+def test_bfile_table_peaks_below_the_size_of_its_file(tmp_path):
+    # Each row is formatted and written before the next, so the output is
+    # never held whole.  ``formulas`` is loaded already, so its import is
+    # not traced.
+    path = tmp_path / "anassa.txt"
+    tracemalloc.start()
+    try:
+        assert cli.main(["table", "anassa", "200", "--format", "bfile", "--out", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def test_parse_bfile_rejects_index_gaps():

@@ -1,20 +1,28 @@
 """The package namespace: public names load their submodules on first use."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import chesscount
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 SUBMODULES = ("board", "formulas", "kernel", "quasipoly")
 
 
 def test_every_public_name_is_its_submodules_object():
     modules = [importlib.import_module(f"chesscount.{name}") for name in SUBMODULES]
-    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 48
+    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 49
     for name in chesscount.__all__:
         value = getattr(chesscount, name)
         assert any(vars(module).get(name) is value for module in modules), name
+
+
+def test_readme_states_the_number_of_public_names():
+    counts = re.findall(r"The public API is the (\d+) names", README.read_text(encoding="utf-8"))
+    assert counts == [str(len(chesscount.__all__))]
 
 
 def test_star_import_binds_every_public_name():

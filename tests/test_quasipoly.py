@@ -25,6 +25,7 @@ from chesscount import (
     black_rooks,
     divide_by_falling_factorial,
     effective_period,
+    rook_and_bishop_quasipolynomials,
     white_rook_coeffs,
     white_rooks,
 )
@@ -183,6 +184,23 @@ def test_even_parity_convolves_each_pair_of_splits_once(monkeypatch):
         calls.clear()
         bishop_coeffs(k, par)
         assert len(calls) == want, (k, par)
+
+
+def test_one_constructor_gives_every_rook_and_bishop_vector():
+    for k in range(9):
+        white, black, bishop = rook_and_bishop_quasipolynomials(k)
+        for par in (0, 1):
+            assert list(white.coeffs[par]) == white_rook_coeffs(k, par), (k, par)
+            assert list(black.coeffs[par]) == black_rook_coeffs(k, par), (k, par)
+            assert list(bishop.coeffs[par]) == bishop_coeffs(k, par), (k, par)
+        assert bishop == bishop_quasipolynomial(k)
+        for qp in (white, black, bishop):
+            assert (qp.degree, qp.period) == (2 * k, 2)
+
+
+def test_one_constructor_rejects_negative_k():
+    with pytest.raises(ValueError):
+        rook_and_bishop_quasipolynomials(-1)
 
 
 def test_bishop_coeffs_leading_term():

@@ -87,6 +87,11 @@ def test_coeffs_suite_builds_each_rook_vector_once(monkeypatch):
     assert sorted(calls) == [(k, z) for k in range(7) for z in (-1, 0, 1)]
 
 
+def test_verify_reads_no_private_quasipoly_name():
+    with open(verify.__file__, encoding="utf-8") as handle:
+        assert "quasipoly._" not in handle.read()
+
+
 def test_duality_compares_against_the_rising_factorial(monkeypatch):
     def group():
         results = suite_identities(m_max=2, k_max=1)
