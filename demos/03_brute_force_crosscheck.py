@@ -11,10 +11,8 @@ from chesscount import (
     ANASSA_MOVES,
     BISHOP_MOVES,
     anassas,
-    attacks,
     bishop_color_board,
     bishops,
-    count_nonattacking,
     inductive_subset,
     max_pieces,
     placement_counts,
@@ -24,10 +22,17 @@ from chesscount import (
 )
 
 # Two squares attack each other when their difference is parallel to a
-# move direction.  Pieces here are riders: range is unlimited.
-print("(1,1) vs (4,4), bishop:", attacks((1, 1), (4, 4), BISHOP_MOVES))
-print("(1,1) vs (1,5), bishop:", attacks((1, 1), (1, 5), BISHOP_MOVES))
-print("(1,1) vs (1,5), anassa:", attacks((1, 1), (1, 5), ANASSA_MOVES))
+# move direction.  Pieces here are riders: range is unlimited.  line_keys
+# names the line through a square in each direction, so two squares attack
+# exactly when they share a key.
+for a, b, name, moves in (
+    ((1, 1), (4, 4), "bishop", BISHOP_MOVES),
+    ((1, 1), (1, 5), "bishop", BISHOP_MOVES),
+    ((1, 1), (1, 5), "anassa", ANASSA_MOVES),
+):
+    keys = moves.line_keys(a), moves.line_keys(b)
+    attack = any(x == y for x, y in zip(*keys))
+    print(f"{a} vs {b}, {name}: line keys {keys[0]} and {keys[1]}, attack: {attack}")
 
 # A two-direction piece puts at most one piece on each of its lines, so a
 # placement matches lines of one family to lines of the other.  The counter
@@ -41,16 +46,16 @@ print("anassa profile on S_4:", placement_counts(board, ANASSA_MOVES))
 for m in range(6):
     b = square_board(m)
     for k in range(max_pieces("bishop", m) + 1):
-        assert count_nonattacking(b, BISHOP_MOVES, k) == bishops(m, k)
+        assert placement_counts(b, BISHOP_MOVES)[k] == bishops(m, k)
     for k in range(max_pieces("anassa", m) + 1):
-        assert count_nonattacking(b, ANASSA_MOVES, k) == anassas(m, k)
+        assert placement_counts(b, ANASSA_MOVES)[k] == anassas(m, k)
 print("\nclosed forms match brute force for m <= 5")
 
 # Bishops never leave their square color, so the count factors through
 # the two color classes independently.
 white = bishop_color_board(5, "white")
 print("white squares on S_5:", len(white.squares))
-assert count_nonattacking(white, BISHOP_MOVES, 2) == white_rooks(5, 2)
+assert placement_counts(white, BISHOP_MOVES)[2] == white_rooks(5, 2)
 
 # Removing the inductive subset (2m-1 squares: the main diagonal plus one
 # extra line) from S_m leaves a board that counts exactly like S_{m-1}.

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from chesscount import anassas
-from chesscount.cli import main, parse_bfile
+from chesscount.cli import main
 
 # A single count.  Same as: chesscount count bishop 8 2
 print("count bishop 8 2:")
@@ -35,9 +35,12 @@ print("\nfirst b-file lines:")
 for line in text.splitlines()[:6]:
     print(" ", line)
 
-# Round trip: the parsed values are the flattened triangle.
-start, values = parse_bfile(text)
-assert values[:3] == [1, 1, 1] and start == 0
+# Round trip: the values read back are the flattened triangle, and the
+# running index starts at 0.
+entries = [line.split() for line in text.splitlines() if not line.startswith("#")]
+assert [int(index) for index, _ in entries] == list(range(len(entries)))
+values = [int(value) for _, value in entries]
+assert values[:3] == [1, 1, 1]
 flat = [anassas(m, k) for m in range(7) for k in range(m + 1)]
 assert values == flat
 print("b-file round trip matches anassas(m, k) flattened")

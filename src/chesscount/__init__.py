@@ -17,18 +17,16 @@ __version__ = "0.1.0"
 
 # Each public name, listed under the submodule that defines it.
 _EXPORTS = {
-    "board": """ANASSA_MOVES BISHOP_MOVES PIECES Board MoveSet Placement attacks
-        bishop_color_board count_nonattacking count_nonattacking_below_diag
-        inductive_subset is_nonattacking placement_counts square_board verify_collapse""",
+    "board": """ANASSA_MOVES BISHOP_MOVES PIECES Board MoveSet bishop_color_board
+        inductive_subset placement_counts placement_profile square_board verify_collapse""",
     "formulas": """CountTable anassa_rows anassa_split_rows anassas anassas_by_split_sum
         anassas_diagonal anassas_split bishops black_rooks black_rooks_alt count
         count_table max_pieces rook_rows white_rooks white_rooks_alt""",
-    "kernel": """assoc_stirling2 binomial falling_factorial parity stirling1_unsigned
-        stirling2""",
+    "kernel": """assoc_stirling2 binomial convolve falling_factorial parity
+        stirling1_unsigned stirling2""",
     "quasipoly": """QuasiPolynomial anassa_coeffs anassa_quasipolynomial
-        basis_change_coeff binomial_basis_to_monomials bishop_coeffs
-        bishop_quasipolynomial black_rook_coeffs divide_by_falling_factorial
-        effective_period rook_and_bishop_quasipolynomials white_rook_coeffs""",
+        bishop_quasipolynomial divide_by_falling_factorial effective_period
+        rook_and_bishop_quasipolynomials""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict, namedtuple
-from collections.abc import Iterable
-from functools import lru_cache
 
 Square = tuple[int, int]
 Move = tuple[int, int]
@@ -75,43 +73,7 @@ def square_board(m: int) -> Board:
     return Board(m, frozenset((c, r) for c in range(1, m + 1) for r in range(1, m + 1)))
 
 
-def attacks(a: Square, b: Square, moves: MoveSet) -> bool:
-    """Whether pieces on distinct squares a and b attack each other."""
-    if a == b:
-        raise ValueError("attack test needs two distinct squares")
-    dc, dr = b[0] - a[0], b[1] - a[1]
-    return any(dc * mr - dr * mc == 0 for mc, mr in moves.moves)
-
-
-def is_nonattacking(squares: Iterable[Square], moves: MoveSet) -> bool:
-    """Whether no two of the given squares attack each other."""
-    per_line: list[set[int]] = [set() for _ in moves.moves]
-    for sq in squares:
-        for used, key in zip(per_line, moves.line_keys(sq)):
-            if key in used:
-                return False
-            used.add(key)
-    return True
-
-
-class Placement(namedtuple("Placement", "board moves occupied")):
-    """A pairwise nonattacking set of occupied squares on a board."""
-
-    __slots__ = ()
-
-    def __new__(cls, board: Board, moves: MoveSet, occupied: frozenset[Square]) -> Placement:
-        if not occupied <= board.squares:
-            raise ValueError("occupied squares must all lie on the board")
-        if not is_nonattacking(occupied, moves):
-            raise ValueError("occupied squares attack each other")
-        return super().__new__(cls, board, moves, occupied)
-
-
-# Eight covers every board one verify step holds at once: an oracle step
-# reads the square board for both pieces and its two bishop colors, and a
-# collapse step both reduced boards with the board one size down.
-@lru_cache(maxsize=8)
-def _profile(board: Board, moves: MoveSet) -> dict[tuple[int, int], int]:
+def placement_profile(board: Board, moves: MoveSet) -> dict[tuple[int, int], int]:
     """Nonattacking placement counts on ``board``, keyed by (size, below).
 
     ``below`` is the number of occupied squares strictly below the main
@@ -120,6 +82,7 @@ def _profile(board: Board, moves: MoveSet) -> dict[tuple[int, int], int]:
     the two line families.  The search steps over the lines of the larger
     family, longest first; its state is the set of lines used in the other
     family, and a line leaves the state once no later step touches it.
+    Nothing is cached: a caller that reads a board twice keeps the result.
     """
     if len(moves.moves) != 2:
         raise ValueError(f"the oracle needs two move directions, got {len(moves.moves)}")
@@ -153,28 +116,11 @@ def placement_counts(board: Board, moves: MoveSet) -> tuple[int, ...]:
     largest feasible size.  Only pieces with two move directions are
     supported.
     """
-    profile = _profile(board, moves)
+    profile = placement_profile(board, moves)
     counts = [0] * (max(size for size, _ in profile) + 1)
     for (size, _), n in profile.items():
         counts[size] += n
     return tuple(counts)
-
-
-def count_nonattacking(board: Board, moves: MoveSet, k: int) -> int:
-    """Number of nonattacking k-piece placements on ``board``, by brute force."""
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    profile = placement_counts(board, moves)
-    return profile[k] if k < len(profile) else 0
-
-
-def count_nonattacking_below_diag(m: int, k: int, p: int) -> int:
-    """Anassa placements on the m x m board: k pieces, exactly p below the diagonal."""
-    if m < 0:
-        raise ValueError(f"board size must be >= 0, got {m}")
-    if k < 0 or p < 0:
-        raise ValueError("piece counts must be >= 0")
-    return _profile(square_board(m), ANASSA_MOVES).get((k, p), 0)
 
 
 def bishop_color_board(m: int, color: str) -> Board:

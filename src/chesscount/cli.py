@@ -204,28 +204,6 @@ def _table_bfile(table, rect: bool, offset: int) -> Iterator[str]:
         offset += len(row)
 
 
-def parse_bfile(text: str) -> tuple[int, list[int]]:
-    """Read ``index value`` lines back; returns (start index, values).
-
-    Comment lines start with ``#``; indices must be consecutive.  This is the
-    inverse of ``table --format bfile``.
-    """
-    entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        index_text, value_text = line.split()
-        entries.append((int(index_text), int(value_text)))
-    if not entries:
-        return 0, []
-    start = entries[0][0]
-    for pos, (index, _) in enumerate(entries):
-        if index != start + pos:
-            raise ValueError(f"non-consecutive index {index} (expected {start + pos})")
-    return start, [value for _, value in entries]
-
-
 def cmd_table(args: SimpleNamespace) -> int:
     from . import formulas
 

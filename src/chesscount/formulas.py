@@ -293,10 +293,6 @@ class CountTable(namedtuple("CountTable", "piece m_max rows")):
     def __repr__(self) -> str:
         return f"CountTable(piece={self.piece!r}, m_max={self.m_max})"
 
-    def flatten(self) -> list[int]:
-        """Row-major linearization (m ascending, k ascending)."""
-        return [value for row in self.rows for value in row]
-
 
 def count_table(piece: str, m_max: int, rect: bool = False) -> CountTable:
     """Build the count triangle for board sizes 0 .. m_max (ValueError if < 0).

@@ -68,7 +68,8 @@ def _times_linear(row: list[int], c: int, scale: int, den: int) -> list[int]:
 
 
 def _basis_change_rows(q: int, z: int, p_max: int) -> Iterator[list[int]]:
-    # 4^q * basis_change_coeff(p, q, z, i) for i = 0..p+q, for p = 0..p_max.
+    # Row p, for p = 0..p_max: the weights w_0..w_(p+q) of the expansion
+    # C(2x+z-q, p) * C(x, q) = sum_i w_i C(2x+z, i), times 4^q.
     # In y = 2x + z, 4^(s+1) C(x, s+1) = 4^s C(x, s) * 2(y - z - 2s) / (s + 1)
     # and C(y - q, t + 1) = C(y - q, t) * (y - q - t) / (t + 1); every row is
     # integral, so each division is exact.

@@ -6,8 +6,8 @@ in the board size m, with coefficients that may depend on the parity of m
 coefficient vectors exactly in the monomial basis.  They are built in
 integers, as numerators over one known denominator per vector, and each
 coefficient becomes a Fraction only in the last step, when it is returned.
-The rook and bishop vectors of one parity class come from one function, the
-only place that picks each color's parity shift.
+The rook and bishop vectors of both parity classes come from one
+constructor, the only place that picks each color's parity shift.
 """
 
 from __future__ import annotations
@@ -18,21 +18,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .kernel import _basis_change_rows, assoc_stirling2, binomial, convolve
-
-
-def basis_change_coeff(p: int, q: int, z: int, i: int) -> Fraction:
-    """Coefficient of C(2x+z, i) when expanding C(2x+z-q, p) * C(x, q).
-
-    The product is a polynomial of degree p + q in x, so it has a unique
-    expansion over the basis {C(2x+z, i)}; this returns the i-th weight.
-    Zero outside 0 <= i <= p + q, and the denominator always divides 4^q.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("basis_change_coeff needs p, q >= 0")
-    if i < 0 or i > p + q:
-        return Fraction(0)
-    *_, row = _basis_change_rows(q, z, p)
-    return Fraction(row[i], 4**q)
 
 
 def _monomial_numerators(weights: Sequence[int]) -> list[int]:
@@ -50,22 +35,11 @@ def _monomial_numerators(weights: Sequence[int]) -> list[int]:
     return sums
 
 
-def binomial_basis_to_monomials(weights: Sequence[Fraction]) -> list[Fraction]:
-    """Convert sum_i w_i * C(x, i) into monomial coefficients.
-
-    Expands C(x, i) = x(x-1)...(x-i+1) / i! in integers over the common
-    denominator of the w_i times (len(weights) - 1)!, so each coefficient
-    takes one division.
-    """
-    den = math.lcm(*(w.denominator for w in weights))
-    nums = _monomial_numerators([w.numerator * (den // w.denominator) for w in weights])
-    return [Fraction(t, den * math.factorial(len(weights) - 1)) for t in nums]
-
-
 def _rook_vectors(k: int, z: int) -> list[list[int]]:
     # Rook coefficient vectors for 0..k pieces at parity shift z, as monomial
     # numerators: vector n is over 4^k * (2n)!.  Over the basis C(m, i) it sums
-    # A(p, p-j) * 4^k * basis_change_coeff(p, q, z, .) over j + q = n, p/2 <= j <= p.
+    # A(p, p-j) * 4^(k-q) times the basis-change row (q, z, p) of the kernel over
+    # j + q = n, p/2 <= j <= p.
     sums = [[0] * (2 * n + 1) for n in range(k + 1)]
     for q in range(k + 1):
         for p, row in enumerate(_basis_change_rows(q, z, 2 * (k - q))):
@@ -93,44 +67,6 @@ def _bishop_from_rooks(
         products.append(convolve([weight * c for c in white[j]], black[k - j]))
     den = 16**k * math.factorial(2 * k)
     return [Fraction(sum(column), den) for column in zip(*products)]
-
-
-def _parity_class(k: int, m_parity: int) -> tuple[list[Fraction], ...]:
-    # White rook, black rook and bishop coefficients on one parity class of m.
-    # White reads parity shift z = -m_parity and black z = +m_parity, so at
-    # even m the two colors share one rook vector set.
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    if m_parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {m_parity}")
-    white = _rook_vectors(k, -m_parity)
-    black = _rook_vectors(k, m_parity) if m_parity else white
-    den = 4**k * math.factorial(2 * k)
-    rooks = ([Fraction(c, den) for c in vectors[k]] for vectors in (white, black))
-    return (*rooks, _bishop_from_rooks(k, white, black))
-
-
-def white_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
-    """Monomial coefficients of m -> white_rooks(m, k) on one parity class.
-
-    Valid for every m >= 0 with m % 2 == m_parity; length 2k + 1.
-    """
-    return _parity_class(k, m_parity)[0]
-
-
-def black_rook_coeffs(k: int, m_parity: int) -> list[Fraction]:
-    """Monomial coefficients of m -> black_rooks(m, k) on one parity class."""
-    return _parity_class(k, m_parity)[1]
-
-
-def bishop_coeffs(k: int, m_parity: int) -> list[Fraction]:
-    """Monomial coefficients of m -> bishops(m, k) on one parity class.
-
-    Sum over the splits of k of the products of the white and black rook
-    coefficient vectors; the product of a degree-2j and a degree-2(k-j)
-    vector lands exactly in degree 2k, so no truncation is involved.
-    """
-    return _parity_class(k, m_parity)[2]
 
 
 def anassa_coeffs(k: int) -> list[Fraction]:
@@ -202,10 +138,23 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "degree period coeffs")):
 def rook_and_bishop_quasipolynomials(k: int) -> tuple[QuasiPolynomial, ...]:
     """White-rook, black-rook and bishop counts for fixed k as period-2 quasipolynomials.
 
-    All three come from one rook vector set per parity shift (ValueError if k < 0).
+    This is the one place that picks each color's parity shift: at m parity p
+    white reads the rook vectors at z = -p and black at z = +p, so at even m
+    the two colors share one set.  The bishop vector of a class sums the
+    products of the two colors' vectors over the splits of k; a degree-2j
+    times a degree-2(k-j) vector lands exactly in degree 2k, so nothing is
+    truncated.  ValueError if k < 0.
     """
-    classes = zip(*(_parity_class(k, m_parity) for m_parity in (0, 1)))
-    return tuple(QuasiPolynomial(2 * k, 2, tuple(map(tuple, pair))) for pair in classes)
+    if k < 0:
+        raise ValueError(f"piece count must be >= 0, got {k}")
+    den = 4**k * math.factorial(2 * k)
+    classes = []
+    for p in (0, 1):
+        white = _rook_vectors(k, -p)
+        black = _rook_vectors(k, p) if p else white
+        rooks = ([Fraction(c, den) for c in vectors[k]] for vectors in (white, black))
+        classes.append((*rooks, _bishop_from_rooks(k, white, black)))
+    return tuple(QuasiPolynomial(2 * k, 2, tuple(map(tuple, pair))) for pair in zip(*classes))
 
 
 def bishop_quasipolynomial(k: int) -> QuasiPolynomial:

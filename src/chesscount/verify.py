@@ -55,28 +55,33 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
         ANASSA_MOVES,
         BISHOP_MOVES,
         PIECES,
-        _profile,
         bishop_color_board,
         placement_counts,
+        placement_profile,
         square_board,
     )
 
-    # One pass over m reads each board's profile once: a step holds at most
-    # four boards, which the profile cache keeps for every repeat read.  The
-    # anassa split is read from the profile of the step's own square board.
+    # Nothing caches a search, so each step searches each distinct board once
+    # and keeps the result: at m <= 1 a color board equals the square board,
+    # and the anassa totals are summed from the split profile.
     closed = {piece: CheckResult(f"{piece} closed form vs brute force") for piece in PIECES}
     split = CheckResult("anassa diagonal split vs brute force")
     colors = CheckResult("bishop counts factor over the two colors")
     for m in range(m_max + 1):
         board = square_board(m)
-        counts = {}
-        for piece, moves in PIECES.items():
-            counts[piece] = placement_counts(board, moves)
+        white, black = (bishop_color_board(m, c) for c in ("white", "black"))
+        boards = dict.fromkeys((board, white, black))
+        bishop = {b: placement_counts(b, BISHOP_MOVES) for b in boards}
+        below = placement_profile(board, ANASSA_MOVES)
+        anassa = [0] * (m + 1)
+        for (k, _), n in below.items():
+            anassa[k] += n
+        counts = {"bishop": bishop[board], "anassa": anassa}
+        for piece in PIECES:
             for k in range(formulas.max_pieces(piece, m) + _PAST_MAX + 1):
                 closed[piece].compare(
                     f"{piece} m={m} k={k}", formulas.count(piece, m, k), _at(counts[piece], k)
                 )
-        below = _profile(board, ANASSA_MOVES)
         for k in range(m + 1):
             for p in range(k + 2):
                 split.compare(
@@ -84,9 +89,7 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
                     formulas.anassas_split(m, k, p),
                     below.get((k, p), 0),
                 )
-        product = convolve(
-            *(placement_counts(bishop_color_board(m, c), BISHOP_MOVES) for c in ("white", "black"))
-        )
+        product = convolve(bishop[white], bishop[black])
         for k in range(formulas.max_pieces("bishop", m) + 1):
             colors.compare(f"color split m={m} k={k}", _at(product, k), _at(counts["bishop"], k))
     return [*closed.values(), split, colors]

@@ -2,7 +2,8 @@
 
 Nothing here imports the package under test: values produced by these
 helpers come from separate routes (formal power series, set-partition
-enumeration, exact interpolation), so agreement is meaningful.
+enumeration, exact interpolation, pairwise attack tests), so agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -106,3 +107,43 @@ def interpolate(points: Iterable[tuple[int, int]]) -> list[Fraction]:
 def polyval(coeffs: Sequence[Fraction], x: int) -> Fraction:
     """Evaluate ascending coefficients at x, exactly."""
     return sum((c * Fraction(x) ** d for d, c in enumerate(coeffs)), Fraction(0))
+
+
+def attacks(a: tuple[int, int], b: tuple[int, int], directions: Sequence[tuple[int, int]]) -> bool:
+    """Whether riders on distinct squares a and b attack each other.
+
+    Two squares attack when their difference is parallel to one of the move
+    directions, given as plain (column, row) pairs; nothing blocks.
+    """
+    dc, dr = b[0] - a[0], b[1] - a[1]
+    return any(dc * mr - dr * mc == 0 for mc, mr in directions)
+
+
+def binomial_basis_to_monomials(weights: Sequence[Fraction | int]) -> list[Fraction]:
+    """Ascending monomial coefficients of sum_i weights[i] * C(x, i).
+
+    Builds each C(x, i + 1) = C(x, i) * (x - i) / (i + 1) as a Fraction
+    polynomial and adds it in with its weight.
+    """
+    out = [Fraction(0)] * len(weights)
+    basis = [Fraction(1)]  # ascending coefficients of C(x, i)
+    for i, w in enumerate(weights):
+        for d, c in enumerate(basis):
+            out[d] += w * c
+        basis = [(lower - i * same) / (i + 1) for lower, same in zip([0, *basis], [*basis, 0])]
+    return out
+
+
+def read_bfile(text: str) -> tuple[int, list[int]]:
+    """The first index and the values of ``index value`` lines; ``#`` lines are comments.
+
+    Asserts that the indices run consecutively.
+    """
+    entries = [
+        [int(field) for field in line.split()]
+        for line in text.splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    start = entries[0][0]
+    assert [index for index, _ in entries] == list(range(start, start + len(entries)))
+    return start, [value for _, value in entries]

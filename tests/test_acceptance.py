@@ -15,12 +15,12 @@ from pathlib import Path
 from chesscount import (
     BISHOP_MOVES,
     binomial,
-    binomial_basis_to_monomials,
-    bishop_coeffs,
+    bishop_quasipolynomial,
     bishops,
-    count_nonattacking,
+    placement_counts,
     square_board,
 )
+from helpers import binomial_basis_to_monomials
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,10 +48,11 @@ def _groups(verify_suite, suite: str, *names: str) -> list:
 def test_criterion_1_bishop_oracle_equivalence(verify_suite):
     failures = _groups(verify_suite, "oracle", "bishop closed form vs brute force")
     for m in range(11):
-        board = square_board(m)
-        if m * m != count_nonattacking(board, BISHOP_MOVES, 1):
+        # The counts stop at the largest feasible size; the zeros pad m <= 1.
+        counts = (*placement_counts(square_board(m), BISHOP_MOVES), 0, 0)
+        if m * m != counts[1]:
             failures.append(("one-piece polynomial vs oracle", m))
-        if _quartic(m) != count_nonattacking(board, BISHOP_MOVES, 2):
+        if _quartic(m) != counts[2]:
             failures.append(("two-piece polynomial vs oracle", m))
     if not (bishops(8, 1) == 8 * 8 == 64):
         failures.append("eight-board one-piece count")
@@ -99,12 +100,10 @@ def test_criterion_6_coefficient_round_trip(verify_suite):
         "anassa polynomial round trip",
         "coefficient structure: periods, divisibility, denominators",
     )
-    if bishop_coeffs(1, 0) != [Fraction(0), Fraction(0), Fraction(1)]:
+    if bishop_quasipolynomial(1).coeffs[0] != (Fraction(0), Fraction(0), Fraction(1)):
         failures.append("one-piece coefficient vector")
-    quartic_expanded = binomial_basis_to_monomials(
-        [Fraction(0), Fraction(0), Fraction(4), Fraction(14), Fraction(12)]
-    )
-    if bishop_coeffs(2, 0) != quartic_expanded or bishop_coeffs(2, 1) != quartic_expanded:
+    quartic_expanded = tuple(binomial_basis_to_monomials([0, 0, 4, 14, 12]))
+    if bishop_quasipolynomial(2).coeffs != (quartic_expanded, quartic_expanded):
         failures.append("two-piece coefficient vector")
     _report(6, "coefficient vectors reproduce counts (k <= 5), frozen k <= 2 vectors, periods", failures)
 

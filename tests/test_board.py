@@ -11,18 +11,26 @@ from chesscount import (
     BISHOP_MOVES,
     Board,
     MoveSet,
-    Placement,
-    attacks,
     bishop_color_board,
-    count_nonattacking,
-    count_nonattacking_below_diag,
     inductive_subset,
-    is_nonattacking,
     placement_counts,
+    placement_profile,
     square_board,
     verify_collapse,
 )
 from chesscount import board as board_module
+from helpers import attacks
+
+
+def _at(counts, k):
+    """Entry k of placement counts, 0 past the largest feasible size."""
+    return counts[k] if k < len(counts) else 0
+
+
+def _share_line(a, b, moves):
+    """Whether squares a and b lie on one line of the move set: the package's attack relation."""
+    return any(x == y for x, y in zip(moves.line_keys(a), moves.line_keys(b)))
+
 
 # --- move sets ---
 
@@ -51,34 +59,33 @@ def test_moveset_rejects_empty():
 
 
 def test_bishop_attacks_both_diagonals():
-    assert attacks((1, 1), (3, 3), BISHOP_MOVES)
-    assert attacks((3, 1), (1, 3), BISHOP_MOVES)
-    assert not attacks((1, 1), (1, 3), BISHOP_MOVES)
-    assert not attacks((1, 1), (2, 3), BISHOP_MOVES)
+    assert _share_line((1, 1), (3, 3), BISHOP_MOVES)
+    assert _share_line((3, 1), (1, 3), BISHOP_MOVES)
+    assert not _share_line((1, 1), (1, 3), BISHOP_MOVES)
+    assert not _share_line((1, 1), (2, 3), BISHOP_MOVES)
 
 
 def test_anassa_attacks_file_and_one_diagonal():
-    assert attacks((2, 1), (2, 4), ANASSA_MOVES)
-    assert attacks((1, 1), (3, 3), ANASSA_MOVES)
-    assert not attacks((3, 1), (1, 3), ANASSA_MOVES)
-    assert not attacks((1, 1), (3, 2), ANASSA_MOVES)
+    assert _share_line((2, 1), (2, 4), ANASSA_MOVES)
+    assert _share_line((1, 1), (3, 3), ANASSA_MOVES)
+    assert not _share_line((3, 1), (1, 3), ANASSA_MOVES)
+    assert not _share_line((1, 1), (3, 2), ANASSA_MOVES)
 
 
 def test_attacks_is_symmetric():
+    # Shared line keys are the pairwise attack test of tests/helpers.py.
     for moves in (BISHOP_MOVES, ANASSA_MOVES):
         for a, b in itertools.combinations(sorted(square_board(4).squares), 2):
-            assert attacks(a, b, moves) == attacks(b, a, moves)
-
-
-def test_attacks_rejects_equal_squares():
-    with pytest.raises(ValueError):
-        attacks((2, 2), (2, 2), BISHOP_MOVES)
+            assert _share_line(a, b, moves) == _share_line(b, a, moves)
+            assert _share_line(a, b, moves) == attacks(a, b, moves.moves), (a, b)
 
 
 def test_attack_ignores_blocking():
-    # A piece between two attackers changes nothing: the relation is pairwise.
-    assert attacks((1, 1), (4, 4), BISHOP_MOVES)
-    assert not is_nonattacking([(1, 1), (2, 2), (4, 4)], BISHOP_MOVES)
+    # A piece between two attackers changes nothing: the relation is pairwise,
+    # so no two of these three squares hold pieces together.
+    assert _share_line((1, 1), (4, 4), BISHOP_MOVES)
+    diagonal = Board(4, frozenset({(1, 1), (2, 2), (4, 4)}))
+    assert placement_counts(diagonal, BISHOP_MOVES) == (1, 3)
 
 
 # --- boards ---
@@ -98,15 +105,6 @@ def test_board_rejects_out_of_range_squares():
         Board(2, frozenset({(0, 1)}))
 
 
-def test_placement_validation():
-    board = square_board(3)
-    Placement(board, BISHOP_MOVES, frozenset({(1, 1), (1, 3)}))
-    with pytest.raises(ValueError):
-        Placement(board, BISHOP_MOVES, frozenset({(1, 1), (3, 3)}))
-    with pytest.raises(ValueError):
-        Placement(board, BISHOP_MOVES, frozenset({(4, 4)}))
-
-
 # --- exhaustive counter ---
 
 
@@ -115,7 +113,7 @@ def _count_by_combinations(board, moves, k):
     return sum(
         1
         for combo in itertools.combinations(sorted(board.squares), k)
-        if all(not attacks(a, b, moves) for a, b in itertools.combinations(combo, 2))
+        if all(not attacks(a, b, moves.moves) for a, b in itertools.combinations(combo, 2))
     )
 
 
@@ -123,30 +121,26 @@ def test_counter_matches_subset_filtering():
     for m in range(4):
         board = square_board(m)
         for moves in (BISHOP_MOVES, ANASSA_MOVES):
+            counts = placement_counts(board, moves)
             for k in range(6):
-                assert count_nonattacking(board, moves, k) == _count_by_combinations(
-                    board, moves, k
-                ), (m, k)
+                assert _at(counts, k) == _count_by_combinations(board, moves, k), (m, k)
 
 
 def test_counter_basics():
     board = square_board(2)
-    assert count_nonattacking(board, BISHOP_MOVES, 0) == 1
-    assert count_nonattacking(board, BISHOP_MOVES, 1) == 4
-    assert count_nonattacking(board, BISHOP_MOVES, 2) == 4
-    assert count_nonattacking(board, ANASSA_MOVES, 2) == 3
-    assert count_nonattacking(square_board(0), BISHOP_MOVES, 0) == 1
-    with pytest.raises(ValueError):
-        count_nonattacking(board, BISHOP_MOVES, -1)
+    assert placement_counts(board, BISHOP_MOVES) == (1, 4, 4)
+    assert placement_counts(board, ANASSA_MOVES)[2] == 3
+    assert placement_counts(square_board(0), BISHOP_MOVES) == (1,)
 
 
 def test_feasibility_bounds():
+    # The counts stop at the largest feasible size, whose count is nonzero.
     for m in range(2, 6):
         board = square_board(m)
-        assert count_nonattacking(board, BISHOP_MOVES, 2 * m - 2) > 0
-        assert count_nonattacking(board, BISHOP_MOVES, 2 * m - 1) == 0
-        assert count_nonattacking(board, ANASSA_MOVES, m) > 0
-        assert count_nonattacking(board, ANASSA_MOVES, m + 1) == 0
+        bishop = placement_counts(board, BISHOP_MOVES)
+        assert len(bishop) == 2 * m - 1 and bishop[-1] > 0
+        anassa = placement_counts(board, ANASSA_MOVES)
+        assert len(anassa) == m + 1 and anassa[-1] > 0
 
 
 def test_placement_counts_profile():
@@ -161,12 +155,13 @@ def test_oracle_needs_two_directions():
     for moves in (one, three):
         with pytest.raises(ValueError):
             placement_counts(board, moves)
+        with pytest.raises(ValueError):
+            placement_profile(board, moves)
         # The attack relation itself still takes any move set.
-        assert attacks((1, 1), (1, 3), moves)
-        assert is_nonattacking([(1, 1), (2, 3)], moves)
-        Placement(board, moves, frozenset({(1, 1), (2, 3)}))
-    assert not attacks((1, 1), (2, 1), one)
-    assert attacks((1, 1), (2, 1), three)
+        assert _share_line((1, 1), (1, 3), moves)
+        assert not _share_line((1, 1), (2, 3), moves)
+    assert not _share_line((1, 1), (2, 1), one)
+    assert _share_line((1, 1), (2, 1), three)
 
 
 @settings(deadline=None)
@@ -177,12 +172,12 @@ def test_counter_matches_subset_filtering_on_irregular_boards(squares):
         profile = placement_counts(board, moves)
         for k in range(len(profile) + 1):
             want = _count_by_combinations(board, moves, k)
-            assert (profile[k] if k < len(profile) else 0) == want, (sorted(squares), k)
+            assert _at(profile, k) == want, (sorted(squares), k)
 
 
 @given(st.integers(0, 4), st.integers(0, 30))
 def test_counts_are_nonnegative(m, k):
-    assert count_nonattacking(square_board(m), ANASSA_MOVES, k) >= 0
+    assert _at(placement_counts(square_board(m), ANASSA_MOVES), k) >= 0
 
 
 # --- color split ---
@@ -206,46 +201,51 @@ def test_white_is_the_color_of_the_corner():
 
 def test_bishop_counts_factor_over_colors():
     for m in range(6):
-        board = square_board(m)
-        white = bishop_color_board(m, "white")
-        black = bishop_color_board(m, "black")
+        board = placement_counts(square_board(m), BISHOP_MOVES)
+        white = placement_counts(bishop_color_board(m, "white"), BISHOP_MOVES)
+        black = placement_counts(bishop_color_board(m, "black"), BISHOP_MOVES)
         for k in range(2 * m + 1):
-            split = sum(
-                count_nonattacking(white, BISHOP_MOVES, j)
-                * count_nonattacking(black, BISHOP_MOVES, k - j)
-                for j in range(k + 1)
-            )
-            assert split == count_nonattacking(board, BISHOP_MOVES, k), (m, k)
+            split = sum(_at(white, j) * _at(black, k - j) for j in range(k + 1))
+            assert split == _at(board, k), (m, k)
 
 
 # --- diagonal split for the anassa ---
 
 
+def _below(m, k, p):
+    return placement_profile(square_board(m), ANASSA_MOVES).get((k, p), 0)
+
+
 def test_below_diagonal_frozen_values():
-    assert count_nonattacking_below_diag(3, 1, 0) == 6
-    assert count_nonattacking_below_diag(3, 1, 1) == 3
-    assert count_nonattacking_below_diag(4, 2, 2) == 7
+    assert _below(3, 1, 0) == 6
+    assert _below(3, 1, 1) == 3
+    assert _below(4, 2, 2) == 7
 
 
 def test_below_diagonal_sums_to_total():
     for m in range(6):
-        board = square_board(m)
+        profile = placement_profile(square_board(m), ANASSA_MOVES)
+        counts = placement_counts(square_board(m), ANASSA_MOVES)
         for k in range(m + 1):
-            total = sum(count_nonattacking_below_diag(m, k, p) for p in range(k + 1))
-            assert total == count_nonattacking(board, ANASSA_MOVES, k), (m, k)
-            assert count_nonattacking_below_diag(m, k, k + 1) == 0
+            total = sum(profile.get((k, p), 0) for p in range(k + 1))
+            assert total == counts[k], (m, k)
+            assert (k, k + 1) not in profile
 
 
 def test_below_diagonal_matches_subset_filtering():
     for m in range(5):
         squares = sorted(square_board(m).squares)
+        profile = placement_profile(square_board(m), ANASSA_MOVES)
         for k in range(m + 2):
             split = [0] * (k + 2)
             for combo in itertools.combinations(squares, k):
-                if all(not attacks(a, b, ANASSA_MOVES) for a, b in itertools.combinations(combo, 2)):
+                if all(
+                    not attacks(a, b, ANASSA_MOVES.moves)
+                    for a, b in itertools.combinations(combo, 2)
+                ):
                     split[sum(r < c for c, r in combo)] += 1
             for p, want in enumerate(split):
-                assert count_nonattacking_below_diag(m, k, p) == want, (m, k, p)
+                assert profile.get((k, p), 0) == want, (m, k, p)
 
 
 # --- inductive subsets and board collapse ---

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from chesscount import anassa_quasipolynomial, bishop_quasipolynomial, cli, count_table
+from helpers import read_bfile
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -86,9 +87,9 @@ def test_table_json(capsys):
 def test_table_bfile_round_trip(capsys):
     assert cli.main(["table", "anassa", "4", "--format", "bfile", "--offset", "5"]) == 0
     text = capsys.readouterr().out
-    start, values = cli.parse_bfile(text)
+    start, values = read_bfile(text)
     assert start == 5
-    assert values == count_table("anassa", 4).flatten()
+    assert values == [value for row in count_table("anassa", 4).rows for value in row]
 
 
 def test_table_writes_stdout_once_per_row(monkeypatch):
@@ -116,11 +117,6 @@ def test_bfile_table_peaks_below_the_size_of_its_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
-
-
-def test_parse_bfile_rejects_index_gaps():
-    with pytest.raises(ValueError):
-        cli.parse_bfile("0 1\n2 5\n")
 
 
 # --- coeffs ---

@@ -15,22 +15,17 @@ from chesscount import (
     anassa_coeffs,
     anassa_quasipolynomial,
     anassas,
-    basis_change_coeff,
     binomial,
-    binomial_basis_to_monomials,
-    bishop_coeffs,
     bishop_quasipolynomial,
     bishops,
-    black_rook_coeffs,
     black_rooks,
     divide_by_falling_factorial,
     effective_period,
     rook_and_bishop_quasipolynomials,
-    white_rook_coeffs,
     white_rooks,
 )
 from chesscount import kernel, quasipoly
-from helpers import interpolate, polyval
+from helpers import binomial_basis_to_monomials, interpolate, polyval
 
 # --- basis change coefficients ---
 
@@ -55,19 +50,23 @@ def _solve_basis_change(p, q, z):
     return [rows[i][n] for i in range(n)]
 
 
+def _weights(p, q, z):
+    # The kernel's basis-change row (q, z, p), as the weights themselves.
+    *_, row = kernel._basis_change_rows(q, z, p)
+    return [Fraction(w, 4**q) for w in row]
+
+
 def test_basis_change_frozen_values():
-    assert basis_change_coeff(0, 0, 0, 0) == 1
+    assert _weights(0, 0, 0) == [1]
     assert _solve_basis_change(1, 1, 0) == [0, 0, 1]
-    assert basis_change_coeff(1, 1, 0, 2) == 1
+    assert _weights(1, 1, 0) == [0, 0, 1]
 
 
 def test_basis_change_matches_linear_solve():
     for p in range(4):
         for q in range(4):
             for z in (-1, 0, 1):
-                solved = _solve_basis_change(p, q, z)
-                direct = [basis_change_coeff(p, q, z, i) for i in range(p + q + 1)]
-                assert direct == solved, (p, q, z)
+                assert _weights(p, q, z) == _solve_basis_change(p, q, z), (p, q, z)
 
 
 def test_basis_change_expands_the_product_on_a_wide_grid():
@@ -75,33 +74,31 @@ def test_basis_change_expands_the_product_on_a_wide_grid():
     for p in range(13):
         for q in range(13):
             for z in range(-2, 3):
-                weights = [basis_change_coeff(p, q, z, i) for i in range(p + q + 1)]
+                weights = _weights(p, q, z)
                 for x in range(p + q + 1):
                     got = sum(w * binomial(2 * x + z, i) for i, w in enumerate(weights))
                     assert got == binomial(2 * x + z - q, p) * binomial(x, q), (p, q, z, x)
 
 
 def test_basis_change_out_of_range_and_denominator():
-    assert basis_change_coeff(2, 1, 0, -1) == 0
-    assert basis_change_coeff(2, 1, 0, 4) == 0
-    for p in range(5):
-        for q in range(5):
-            for z in (-1, 0, 1):
-                for i in range(p + q + 1):
-                    assert 4**q % basis_change_coeff(p, q, z, i).denominator == 0
-    with pytest.raises(ValueError):
-        basis_change_coeff(-1, 0, 0, 0)
+    # Row p holds the p + q + 1 weights, each times 4^q an integer, and
+    # rows p = 0..p_max come out in order.
+    for q in range(5):
+        for z in (-1, 0, 1):
+            rows = list(kernel._basis_change_rows(q, z, 4))
+            assert [len(row) for row in rows] == [p + q + 1 for p in range(5)]
+            for p, row in enumerate(rows):
+                assert all(type(w) is int for w in row)
+                assert [Fraction(w, 4**q) for w in row] == _solve_basis_change(p, q, z)
 
 
 def test_binomial_basis_conversion():
-    # C(x, 2) = x(x-1)/2.
-    assert binomial_basis_to_monomials([Fraction(0), Fraction(0), Fraction(1)]) == [
-        Fraction(0),
-        Fraction(-1, 2),
-        Fraction(1, 2),
-    ]
-    weights = [Fraction(3), Fraction(-2), Fraction(5), Fraction(7)]
-    coeffs = binomial_basis_to_monomials(weights)
+    # C(x, 2) = x(x-1)/2, in numerators over 2!.
+    assert quasipoly._monomial_numerators([0, 0, 1]) == [0, -1, 1]
+    assert binomial_basis_to_monomials([0, 0, 1]) == [0, Fraction(-1, 2), Fraction(1, 2)]
+    weights = [3, -2, 5, 7]
+    coeffs = [Fraction(n, math.factorial(3)) for n in quasipoly._monomial_numerators(weights)]
+    assert coeffs == binomial_basis_to_monomials(weights)
     for x in range(8):
         want = sum(w * binomial(x, i) for i, w in enumerate(weights))
         assert polyval(coeffs, x) == want
@@ -121,81 +118,95 @@ def _interpolated(fn, k, par, step=2):
 
 def test_rook_coeffs_match_interpolation():
     for k in (*range(13), 20):
+        white, black, _ = rook_and_bishop_quasipolynomials(k)
         for par in (0, 1):
-            assert white_rook_coeffs(k, par) == _interpolated(white_rooks, k, par), (k, par)
-            assert black_rook_coeffs(k, par) == _interpolated(black_rooks, k, par), (k, par)
+            assert list(white.coeffs[par]) == _interpolated(white_rooks, k, par), (k, par)
+            assert list(black.coeffs[par]) == _interpolated(black_rooks, k, par), (k, par)
 
 
 def test_rook_coeffs_leading_term():
     for k in range(6):
         lead = Fraction(1, 2**k * math.factorial(k))
-        assert white_rook_coeffs(k, 0)[2 * k] == lead
-        assert white_rook_coeffs(k, 1)[2 * k] == lead
-        assert black_rook_coeffs(k, 1)[2 * k] == lead
+        white, black, _ = rook_and_bishop_quasipolynomials(k)
+        assert white.coeffs[0][2 * k] == lead
+        assert white.coeffs[1][2 * k] == lead
+        assert black.coeffs[1][2 * k] == lead
 
 
 def test_rook_coeffs_even_parity_colors_agree():
     for k in range(6):
-        assert white_rook_coeffs(k, 0) == black_rook_coeffs(k, 0)
+        white, black, _ = rook_and_bishop_quasipolynomials(k)
+        assert white.coeffs[0] == black.coeffs[0]
 
 
-def test_rook_coeffs_validation():
-    with pytest.raises(ValueError):
-        white_rook_coeffs(-1, 0)
-    with pytest.raises(ValueError):
-        white_rook_coeffs(2, 2)
+def test_parity_classes_first_differ_where_pinned():
+    # Both bishop classes share the coefficients of m^2k .. m^(2k-5) and
+    # differ at m^(2k-6); the white-rook classes already differ at m^(2k-2)
+    # and agree above it.
+    for k in (*range(3, 21), 40):
+        white, _, bishop = rook_and_bishop_quasipolynomials(k)
+        even, odd = bishop.coeffs
+        assert even[2 * k - 5:] == odd[2 * k - 5:], k
+        assert even[2 * k - 6] != odd[2 * k - 6], k
+        even, odd = white.coeffs
+        assert even[2 * k - 1:] == odd[2 * k - 1:], k
+        assert even[2 * k - 2] != odd[2 * k - 2], k
 
 
 # --- bishop coefficients ---
 
 
 def test_bishop_coeffs_frozen_vectors():
-    assert bishop_coeffs(0, 0) == [Fraction(1)]
-    assert bishop_coeffs(1, 0) == [Fraction(0), Fraction(0), Fraction(1)]
-    assert bishop_coeffs(1, 1) == [Fraction(0), Fraction(0), Fraction(1)]
+    assert bishop_quasipolynomial(0).coeffs == ((1,), (1,))
+    assert bishop_quasipolynomial(1).coeffs == ((0, 0, 1), (0, 0, 1))
 
 
 def test_bishop_two_piece_coeffs_equal_quartic_expansion():
     # Independent expansion of 12 C(m,4) + 14 C(m,3) + 4 C(m,2).
-    weights = [Fraction(0), Fraction(0), Fraction(4), Fraction(14), Fraction(12)]
-    want = binomial_basis_to_monomials(weights)
+    want = binomial_basis_to_monomials([0, 0, 4, 14, 12])
     assert want == [Fraction(0), Fraction(-1, 3), Fraction(1, 2), Fraction(-2, 3), Fraction(1, 2)]
-    assert bishop_coeffs(2, 0) == want
-    assert bishop_coeffs(2, 1) == want
+    assert bishop_quasipolynomial(2).coeffs == (tuple(want), tuple(want))
 
 
 def test_bishop_coeffs_match_interpolation():
     for k in (*range(13), 20):
+        bishop = bishop_quasipolynomial(k)
         for par in (0, 1):
-            assert bishop_coeffs(k, par) == _interpolated(bishops, k, par), (k, par)
+            assert list(bishop.coeffs[par]) == _interpolated(bishops, k, par), (k, par)
 
 
 def test_even_parity_convolves_each_pair_of_splits_once(monkeypatch):
     # At even m both colors have the same rook vectors, so split j and split
     # k - j give one product: k // 2 + 1 convolutions, against k + 1 at odd m.
     calls = []
+    per_class = []
+    build = quasipoly._bishop_from_rooks
 
     def counted(a, b):
         calls.append((a, b))
         return kernel.convolve(a, b)
 
-    monkeypatch.setattr(quasipoly, "convolve", counted)
-    for k, par, want in ((40, 0, 21), (40, 1, 41), (5, 0, 3), (0, 0, 1)):
+    def one_class(k, white, black):
         calls.clear()
-        bishop_coeffs(k, par)
-        assert len(calls) == want, (k, par)
+        vector = build(k, white, black)
+        per_class.append(len(calls))
+        return vector
+
+    monkeypatch.setattr(quasipoly, "convolve", counted)
+    monkeypatch.setattr(quasipoly, "_bishop_from_rooks", one_class)
+    for k, want in ((40, [21, 41]), (5, [3, 6]), (0, [1, 1])):
+        per_class.clear()
+        rook_and_bishop_quasipolynomials(k)
+        assert per_class == want, k
 
 
 def test_one_constructor_gives_every_rook_and_bishop_vector():
     for k in range(9):
         white, black, bishop = rook_and_bishop_quasipolynomials(k)
-        for par in (0, 1):
-            assert list(white.coeffs[par]) == white_rook_coeffs(k, par), (k, par)
-            assert list(black.coeffs[par]) == black_rook_coeffs(k, par), (k, par)
-            assert list(bishop.coeffs[par]) == bishop_coeffs(k, par), (k, par)
         assert bishop == bishop_quasipolynomial(k)
         for qp in (white, black, bishop):
             assert (qp.degree, qp.period) == (2 * k, 2)
+            assert all(type(c) is Fraction for vec in qp.coeffs for c in vec)
 
 
 def test_one_constructor_rejects_negative_k():
@@ -205,13 +216,12 @@ def test_one_constructor_rejects_negative_k():
 
 def test_bishop_coeffs_leading_term():
     for k in range(6):
-        assert bishop_coeffs(k, 0)[2 * k] == Fraction(1, math.factorial(k))
+        assert bishop_quasipolynomial(k).coeffs[0][2 * k] == Fraction(1, math.factorial(k))
 
 
 def test_bishop_periods():
     for k, want in ((0, 1), (1, 1), (2, 1), (3, 2), (4, 2), (5, 2)):
-        vectors = [bishop_coeffs(k, 0), bishop_coeffs(k, 1)]
-        assert effective_period(vectors) == want, k
+        assert effective_period(bishop_quasipolynomial(k).coeffs) == want, k
 
 
 # --- anassa coefficients ---
@@ -263,8 +273,8 @@ def test_evaluation_integrality_guard():
 def test_evaluate_matches_term_by_term_sum():
     # Integer-valued in m, with entries of both signs over the denominators
     # 1, 4, 6 and 24.
-    even = binomial_basis_to_monomials([Fraction(n) for n in (3, -2, 5, -7, 4)])
-    odd = binomial_basis_to_monomials([Fraction(n) for n in (-1, 6, 0, 9, -11)])
+    even = binomial_basis_to_monomials([3, -2, 5, -7, 4])
+    odd = binomial_basis_to_monomials([-1, 6, 0, 9, -11])
     assert {c.denominator for c in even + odd} == {1, 4, 6, 24}
     assert {c > 0 for c in even + odd} == {True, False}
     qp = QuasiPolynomial(4, 2, (tuple(even), tuple(odd)))
@@ -286,7 +296,7 @@ def test_anassa_vectors_divisible_by_falling_factorial():
 
 
 def test_bishop_two_piece_vector_divisible():
-    assert divide_by_falling_factorial(bishop_coeffs(2, 0), 2) == [
+    assert divide_by_falling_factorial(bishop_quasipolynomial(2).coeffs[0], 2) == [
         Fraction(1, 3),
         Fraction(-1, 6),
         Fraction(1, 2),

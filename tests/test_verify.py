@@ -5,7 +5,7 @@ select one with ``pytest -k <group id>``.  A test fails when its group
 failed, checked nothing, or its suite raised.
 """
 
-import functools
+import ast
 import re
 
 import pytest
@@ -92,6 +92,19 @@ def test_verify_reads_no_private_quasipoly_name():
         assert "quasipoly._" not in handle.read()
 
 
+def test_verify_reads_no_private_board_name():
+    with open(verify.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "board"
+        for alias in node.names
+    ]
+    assert "placement_profile" in names
+    assert not [name for name in names if name.startswith("_")]
+
+
 def test_duality_compares_against_the_rising_factorial(monkeypatch):
     def group():
         results = suite_identities(m_max=2, k_max=1)
@@ -107,17 +120,31 @@ def test_duality_compares_against_the_rising_factorial(monkeypatch):
     assert broken.failures and broken.failures[0].startswith("duality n=3 k=5:")
 
 
-def test_oracle_computes_each_profile_once(monkeypatch):
+def _searches(monkeypatch):
+    # Every board search, as its (board, moves) pair; nothing caches them.
     calls = []
-    search = board._profile.__wrapped__
+    search = board.placement_profile
 
     def counted(board_, moves):
         calls.append((board_, moves))
         return search(board_, moves)
 
-    monkeypatch.setattr(board, "_profile", functools.lru_cache(maxsize=8)(counted))
+    monkeypatch.setattr(board, "placement_profile", counted)
+    return calls
+
+
+def test_oracle_computes_each_profile_once(monkeypatch):
+    calls = _searches(monkeypatch)
     assert all(r.ok for r in suite_oracle(10))
     assert len(calls) == len(set(calls)) == 41
+
+
+def test_oracle_and_collapse_search_as_often_as_they_read(monkeypatch):
+    # The collapse suite reads 20 square boards and one empty board that the
+    # oracle read before; each suite keeps only what it reads twice itself.
+    calls = _searches(monkeypatch)
+    assert all(r.ok for r in verify.run_suite("all", m_max=10))
+    assert (len(calls), len(set(calls))) == (81, 60)
 
 
 def test_oracle_builds_each_square_board_once_per_reader(monkeypatch):
