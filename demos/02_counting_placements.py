@@ -9,7 +9,6 @@ with recurrences and alternative summations agreeing on every value.
 
 from chesscount import (
     anassas,
-    anassas_by_split_sum,
     anassas_diagonal,
     anassas_split,
     bishops,
@@ -45,7 +44,7 @@ m, k = 5, 3
 parts = [anassas_split(m, k, p) for p in range(k + 1)]
 print(f"\nanassas on S_{m} with k={k}, split by below-diagonal count:")
 print("  parts:", parts, " sum:", sum(parts))
-assert sum(parts) == anassas(m, k) == anassas_by_split_sum(m, k)
+assert sum(parts) == anassas(m, k)
 
 # Saturation: at most 2m-2 bishops fit on S_m (m >= 2), at most m anassas.
 print("\nmax pieces on S_4: bishop", max_pieces("bishop", 4),
@@ -58,10 +57,9 @@ a, b = anassas_diagonal(6)
 assert a == b == anassas(6, 6)
 print(f"anassas(6, 6) = {a} via either diagonal summation")
 
-# Whole triangles at once, row m holding k = 0 .. max feasible.
-table = count_table("anassa", 4)
+# Whole triangles, one row at a time: row m holds k = 0 .. max feasible.
 print("\nanassa triangle up to m=4:")
-for m, row in enumerate(table.rows):
+for m, row in enumerate(count_table("anassa", 4)):
     print(f"  m={m}: {list(row)}")
 
 # Counts extend below m=0: at size -1 both pieces count permutations.

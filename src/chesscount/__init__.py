@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "board": """ANASSA_MOVES BISHOP_MOVES PIECES Board MoveSet bishop_color_board
         inductive_subset placement_counts placement_profile square_board verify_collapse""",
-    "formulas": """CountTable anassa_rows anassa_split_rows anassas anassas_by_split_sum
-        anassas_diagonal anassas_split bishops black_rooks black_rooks_alt count
-        count_table max_pieces rook_rows white_rooks white_rooks_alt""",
+    "formulas": """anassa_rows anassa_split_rows anassas anassas_diagonal anassas_split
+        bishops black_rooks black_rooks_alt count count_table max_pieces rook_rows
+        white_rooks white_rooks_alt""",
     "kernel": """assoc_stirling2 binomial convolve falling_factorial parity
         stirling1_unsigned stirling2""",
     "quasipoly": """QuasiPolynomial anassa_coeffs anassa_quasipolynomial

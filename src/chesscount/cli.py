@@ -3,9 +3,9 @@
 Subcommands: ``count`` (one closed-form count), ``table`` (count triangle),
 ``coeffs`` (quasipolynomial coefficients), ``verify`` (self-check suites).
 Output formats: csv, tsv and json; ``table`` also writes bfile (``index
-value`` lines with ``#`` headers).  Each row is written as it is formatted;
-json is written whole.  Exit codes: 0 success, 1 verification or I/O
-failure, 2 usage error.
+value`` lines with ``#`` headers).  ``table`` writes each row as it is
+formatted, in every format, json included.  Exit codes: 0 success, 1
+verification or I/O failure, 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
 
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
@@ -16,6 +16,7 @@ usage errors.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from types import SimpleNamespace
@@ -149,10 +150,17 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> int:
-    """Write text chunks in order, each as it comes, to stdout or to the file ``out``."""
+    """Write chunks in order, each as it comes, to stdout or to ``out``: 1 if that fails, else 0."""
     if out is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader is gone.  Python flushes stdout again at exit, so its
+            # descriptor goes to the null device to keep that flush quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return 0
     try:
         with open(out, "w", encoding="utf-8") as handle:
@@ -192,16 +200,30 @@ def cmd_count(args: SimpleNamespace) -> int:
     return _emit([f"{value}\n"], args.out)
 
 
-def _table_bfile(table, rect: bool, offset: int) -> Iterator[str]:
-    bound = "padded to a common width" if rect else "truncated at the last nonzero count"
+def _table_bfile(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    offset = args.offset or 0
+    bound = "padded to a common width" if args.rect else "truncated at the last nonzero count"
     yield (
-        f"# nonattacking {table.piece} placements on m x m boards\n"
-        f"# triangle rows m = 0..{table.m_max}, k ascending within each row ({bound})\n"
+        f"# nonattacking {args.piece} placements on m x m boards\n"
+        f"# triangle rows m = 0..{args.m_max}, k ascending within each row ({bound})\n"
         f"# single running index in row-major order, starting at {offset}\n"
     )
-    for row in table.rows:
+    for row in rows:
         yield "".join(f"{offset + k} {v}\n" for k, v in enumerate(row))
         offset += len(row)
+
+
+def _table_json(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """``json.dumps`` of the table's payload and a newline, in one chunk per row."""
+    import json  # only for --format json
+
+    head = {"piece": args.piece, "m_max": args.m_max, "rect": args.rect, "rows": []}
+    yield json.dumps(head)[:-2]  # up to the open bracket of the rows
+    separator = ""
+    for row in rows:
+        yield separator + json.dumps(row)
+        separator = ", "
+    yield "]}\n"
 
 
 def cmd_table(args: SimpleNamespace) -> int:
@@ -211,19 +233,13 @@ def cmd_table(args: SimpleNamespace) -> int:
         raise _UsageError(f"m_max must be >= 0, got {args.m_max}")
     if args.offset is not None and args.format != "bfile":
         raise _UsageError("--offset applies only to --format bfile")
-    table = formulas.count_table(args.piece, args.m_max, rect=args.rect)
+    rows = formulas.count_table(args.piece, args.m_max, rect=args.rect)
     if args.format == "json":
-        payload = {
-            "piece": table.piece,
-            "m_max": table.m_max,
-            "rect": args.rect,
-            "rows": [list(row) for row in table.rows],
-        }
-        return _emit_json(payload, args.out)
+        return _emit(_table_json(args, rows), args.out)
     if args.format == "bfile":
-        return _emit(_table_bfile(table, args.rect, args.offset or 0), args.out)
+        return _emit(_table_bfile(args, rows), args.out)
     sep = _SEPARATORS[args.format]
-    return _emit((sep.join(map(str, row)) + "\n" for row in table.rows), args.out)
+    return _emit((sep.join(map(str, row)) + "\n" for row in rows), args.out)
 
 
 def cmd_coeffs(args: SimpleNamespace) -> int:

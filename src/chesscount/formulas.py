@@ -5,7 +5,7 @@ m x m board.  Bishop counts factor through rook counts on the two
 one-color boards; anassa counts additionally split by how many pieces sit
 strictly below the main diagonal.  Each rook count has three routes that
 share no arithmetic: the Stirling closed forms, the row recurrences on the
-board size (generators that keep only the current row and build
+board size (generators that keep only the current row and feed
 :func:`count_table`), and the classical alternating sums, which use neither
 a Stirling number nor a recurrence.  Anassa tables come from a
 three-term recurrence on the totals (:func:`anassa_rows`); the p-split
@@ -16,7 +16,6 @@ the self-checks compare with the split closed form.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Iterator
 
 from .kernel import binomial, convolve, falling_factorial, parity, stirling2
@@ -232,13 +231,6 @@ def anassas(m: int, k: int) -> int:
     return total
 
 
-def anassas_by_split_sum(m: int, k: int) -> int:
-    """Anassa counts as the sum of the diagonal-split counts over p."""
-    if m < 0 or k < 0:
-        raise ValueError("anassas_by_split_sum needs m, k >= 0")
-    return sum(anassas_split(m, k, p) for p in range(k + 1))
-
-
 def anassas_diagonal(m: int) -> tuple[int, int]:
     """The saturated count (k = m anassas) computed two independent ways.
 
@@ -280,33 +272,22 @@ def count(piece: str, m: int, k: int) -> int:
     raise ValueError(f"unknown piece {piece!r}")
 
 
-class CountTable(namedtuple("CountTable", "piece m_max rows")):
-    """Feasibility-truncated triangle of placement counts.
+def count_table(piece: str, m_max: int, rect: bool = False) -> Iterator[tuple[int, ...]]:
+    """The count rows for board sizes 0 .. m_max, as an iterator that builds one at a time.
 
-    ``rows[m]`` holds the counts for k = 0 .. max_pieces(piece, m) on the
-    m x m board (padded with zeros up to a common width when rectangular
-    output was requested).
+    Row m holds the counts for k = 0 .. max_pieces(piece, m), padded with
+    zeros to a common width when ``rect`` is set.  Bishop rows convolve the
+    black and white rows of :func:`rook_rows`; anassa rows come from
+    :func:`anassa_rows`, which steps the totals without the p-split.
+    Raises ValueError on the call, before any row, for an unknown piece or
+    m_max < 0.
     """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return f"CountTable(piece={self.piece!r}, m_max={self.m_max})"
-
-
-def count_table(piece: str, m_max: int, rect: bool = False) -> CountTable:
-    """Build the count triangle for board sizes 0 .. m_max (ValueError if < 0).
-
-    Bishop rows convolve the black and white rows of :func:`rook_rows`;
-    anassa rows come from :func:`anassa_rows`, which steps the totals
-    without the p-split.
-    """
+    top = max_pieces(piece, m_max)  # checks both arguments now, not at the first row
     if piece == "bishop":
         rows = map(convolve, rook_rows(m_max, "black"), rook_rows(m_max, "white"))
-    elif piece == "anassa":
-        rows = anassa_rows(m_max)
     else:
-        raise ValueError(f"unknown piece {piece!r}")
+        rows = anassa_rows(m_max)
     # Each row already ends at max_pieces(piece, m); only rect pads it.
-    width = max_pieces(piece, m_max) + 1 if rect else 0
-    return CountTable(piece, m_max, tuple(row + (0,) * (width - len(row)) for row in rows))
+    if not rect:
+        return rows
+    return (row + (0,) * (top + 1 - len(row)) for row in rows)

@@ -183,8 +183,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     r = CheckResult("bishop counts: three routes agree")
     # Table rows convolve the black and white rook_rows of each size; the
     # alternating sums use no Stirling number and no recurrence.
-    bishop_rows = formulas.count_table("bishop", small).rows
-    for m, row in enumerate(bishop_rows):
+    for m, row in enumerate(formulas.count_table("bishop", small)):
         white = [formulas.white_rooks_alt(m, j) for j in range(11)]
         black = [formulas.black_rooks_alt(m, j) for j in range(11)]
         for k in range(11):
@@ -198,20 +197,11 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     for m, tri in enumerate(formulas.anassa_split_rows(small)):
         for k in range(k_max + 1):
             split = tri[k] if k <= m else ()
-            for p in range(k + 1):
-                r.compare(
-                    f"rec m={m} k={k} p={p}", _at(split, p), formulas.anassas_split(m, k, p)
-                )
-            r.compare(
-                f"sum m={m} k={k}",
-                formulas.anassas_by_split_sum(m, k),
-                formulas.anassas(m, k),
-            )
-            r.compare(
-                f"telescoped m={m} k={k}",
-                formulas.anassas_split(m, k, k),
-                stirling2(m, m - k),
-            )
+            closed = [formulas.anassas_split(m, k, p) for p in range(k + 1)]
+            for p, value in enumerate(closed):
+                r.compare(f"rec m={m} k={k} p={p}", _at(split, p), value)
+            r.compare(f"sum m={m} k={k}", sum(closed), formulas.anassas(m, k))
+            r.compare(f"telescoped m={m} k={k}", closed[k], stirling2(m, m - k))
     results.append(r)
 
     r = CheckResult("two bishops: explicit quartic")

@@ -134,6 +134,42 @@ def binomial_basis_to_monomials(weights: Sequence[Fraction | int]) -> list[Fract
     return out
 
 
+def rook_rows_cut(m_max: int, width: int, white: bool) -> Iterator[list[int]]:
+    """One-color rook counts R(m, 0 .. width-1) for m = 0 .. m_max, by recurrence.
+
+    R(0, 0) = 1 and R(m, j) = R(m-1, j) + (m - j + s) R(m-1, j-1), with
+    s = m mod 2 on the white board and 1 - m mod 2 on the black one.  Entry j
+    reads only entries j and j - 1 of the row before, so the first ``width``
+    entries are exact on their own and a row costs ``width`` products at any m.
+    """
+    row = [1] + [0] * (width - 1)
+    yield row
+    for m in range(1, m_max + 1):
+        s = m % 2 if white else 1 - m % 2
+        row = [1] + [row[j] + (m - j + s) * row[j - 1] for j in range(1, width)]
+        yield row
+
+
+def anassa_rows_cut(m_max: int, width: int) -> Iterator[list[int]]:
+    """Anassa counts A(m, 0 .. width-1) for m = 0 .. m_max, by recurrence.
+
+    A(0, 0) = 1 and 2A(m,k) = 2A(m-1,k) + (4m-3k+1) A(m-1,k-1)
+    + (2m-k+1)(m-k+1) A(m-1,k-2); entry k reads no entry past k, so the row
+    is cut off at ``width`` entries as in :func:`rook_rows_cut`.
+    """
+    row = [1] + [0] * (width - 1)
+    yield row
+    for m in range(1, m_max + 1):
+        left, corner = [0, *row], [0, 0, *row]
+        twice = [
+            2 * row[k] + (4 * m - 3 * k + 1) * left[k] + (2 * m - k + 1) * (m - k + 1) * corner[k]
+            for k in range(width)
+        ]
+        assert not any(value & 1 for value in twice), m
+        row = [value >> 1 for value in twice]
+        yield row
+
+
 def read_bfile(text: str) -> tuple[int, list[int]]:
     """The first index and the values of ``index value`` lines; ``#`` lines are comments.
 

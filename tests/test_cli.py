@@ -89,7 +89,7 @@ def test_table_bfile_round_trip(capsys):
     text = capsys.readouterr().out
     start, values = read_bfile(text)
     assert start == 5
-    assert values == [value for row in count_table("anassa", 4).rows for value in row]
+    assert values == [value for row in count_table("anassa", 4) for value in row]
 
 
 def test_table_writes_stdout_once_per_row(monkeypatch):
@@ -99,24 +99,75 @@ def test_table_writes_stdout_once_per_row(monkeypatch):
         def write(self, text):
             writes.append(text)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Stdout())
+    rows = [list(row) for row in count_table("anassa", 30)]
     assert cli.main(["table", "anassa", "30"]) == 0
-    rows = count_table("anassa", 30).rows
     assert writes == [",".join(map(str, row)) + "\n" for row in rows]
+    # json: the head, then one chunk per row, then the tail.
+    writes.clear()
+    assert cli.main(["table", "anassa", "30", "--format", "json"]) == 0
+    head, *body, tail = writes
+    assert head.endswith('"rows": [') and tail == "]}\n"
+    assert [json.loads(chunk.removeprefix(", ")) for chunk in body] == rows
+    # bfile: the header, then one chunk per row.
+    writes.clear()
+    assert cli.main(["table", "anassa", "30", "--format", "bfile"]) == 0
+    header, *body = writes
+    assert header.startswith("# ") and "\n# single running index" in header
+    assert [[int(line.split()[1]) for line in chunk.splitlines()] for chunk in body] == rows
 
 
-def test_bfile_table_peaks_below_the_size_of_its_file(tmp_path):
-    # Each row is formatted and written before the next, so the output is
-    # never held whole.  ``formulas`` is loaded already, so its import is
-    # not traced.
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "bfile", "json"])
+def test_bfile_table_peaks_below_the_size_of_its_file(tmp_path, fmt):
+    # Each row is made, formatted and written before the next, so neither
+    # the table nor the output is ever held whole.  ``formulas`` and
+    # ``json`` are loaded already, so their imports are not traced.
     path = tmp_path / "anassa.txt"
     tracemalloc.start()
     try:
-        assert cli.main(["table", "anassa", "200", "--format", "bfile", "--out", str(path)]) == 0
+        assert cli.main(["table", "anassa", "200", "--format", fmt, "--out", str(path)]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size
+    assert peak < path.stat().st_size / 8
+
+
+@pytest.mark.parametrize("piece", ["bishop", "anassa"])
+def test_table_json_is_the_bytes_of_json_dumps(piece, capsys):
+    for m_max in (0, 1, 2, 7, 40):
+        for rect in (False, True):
+            argv = ["table", piece, str(m_max), "--format", "json"] + ["--rect"] * rect
+            assert cli.main(argv) == 0
+            rows = [list(row) for row in count_table(piece, m_max, rect=rect)]
+            payload = {"piece": piece, "m_max": m_max, "rect": rect, "rows": rows}
+            assert capsys.readouterr().out == json.dumps(payload) + "\n", (m_max, rect)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_pipe_exits_1_without_a_traceback(fmt, unbuffered):
+    # The table runs to megabytes, far past what the pipe buffers, so the
+    # child meets the closed pipe on a write, not only at its exit flush.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "chesscount", "table", "anassa", "300", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 1
+    assert b"Traceback" not in stderr, stderr.decode()
 
 
 # --- coeffs ---

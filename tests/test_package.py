@@ -14,7 +14,7 @@ SUBMODULES = ("board", "formulas", "kernel", "quasipoly")
 
 def test_every_public_name_is_its_submodules_object():
     modules = [importlib.import_module(f"chesscount.{name}") for name in SUBMODULES]
-    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 41
+    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 39
     for name in chesscount.__all__:
         value = getattr(chesscount, name)
         assert any(vars(module).get(name) is value for module in modules), name
@@ -51,9 +51,12 @@ def test_removed_wrappers_are_unreachable():
         "white_rook_coeffs",
         "black_rook_coeffs",
         "bishop_coeffs",
+        "CountTable",
+        "anassas_by_split_sum",
     ):
         assert not hasattr(chesscount, name), name
-    assert not hasattr(formulas.CountTable, "flatten")
+    assert not hasattr(formulas, "CountTable")
+    assert not hasattr(formulas, "anassas_by_split_sum")
     assert not hasattr(cli, "parse_bfile")
 
 

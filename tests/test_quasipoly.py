@@ -25,7 +25,13 @@ from chesscount import (
     white_rooks,
 )
 from chesscount import kernel, quasipoly
-from helpers import binomial_basis_to_monomials, interpolate, polyval
+from helpers import (
+    anassa_rows_cut,
+    binomial_basis_to_monomials,
+    interpolate,
+    polyval,
+    rook_rows_cut,
+)
 
 # --- basis change coefficients ---
 
@@ -212,6 +218,29 @@ def test_one_constructor_gives_every_rook_and_bishop_vector():
 def test_one_constructor_rejects_negative_k():
     with pytest.raises(ValueError):
         rook_and_bishop_quasipolynomials(-1)
+
+
+def test_quasipolynomials_match_the_row_recurrences_at_large_m():
+    # ``verify coeffs`` compares each quasipolynomial with the closed form
+    # only at m <= 2k + 6, fewer points than a degree-2k class needs.  The
+    # helpers' recurrences share no arithmetic with either route.
+    k, sizes = 12, (10**4, 10**4 + 1)
+    white_qp, black_qp, bishop_qp = rook_and_bishop_quasipolynomials(k)
+    anassa_qp = anassa_quasipolynomial(k)
+    rows = zip(
+        rook_rows_cut(sizes[-1], k + 1, white=True),
+        rook_rows_cut(sizes[-1], k + 1, white=False),
+        anassa_rows_cut(sizes[-1], k + 1),
+    )
+    checked = 0
+    for m, (white, black, anassa) in enumerate(rows):
+        if m in sizes:
+            assert white_qp.evaluate(m) == white[k], m
+            assert black_qp.evaluate(m) == black[k], m
+            assert bishop_qp.evaluate(m) == sum(black[j] * white[k - j] for j in range(k + 1)), m
+            assert anassa_qp.evaluate(m) == anassa[k], m
+            checked += 1
+    assert checked == len(sizes)
 
 
 def test_bishop_coeffs_leading_term():
