@@ -22,10 +22,11 @@ from chesscount import (
 )
 
 # Two bishops: a single degree-4 polynomial covers every board size.
-# Coefficients are stored per parity of m; for k <= 2 the two vectors
+# Coefficients are stored per parity of m, one vector per residue, so the
+# degree is one less than a vector's length.  For k <= 2 the two vectors
 # coincide, so the effective period is 1.
 qp = bishop_quasipolynomial(2)
-print("bishops, k=2: degree", qp.degree,
+print("bishops, k=2: degree", len(qp.coeffs[0]) - 1,
       " effective period", effective_period(qp.coeffs))
 print("  coefficients:", [str(c) for c in qp.coeffs[0]])
 for m in range(12):
@@ -34,7 +35,7 @@ for m in range(12):
 # Three bishops: the even-m and odd-m coefficient vectors differ, so the
 # count is a genuine quasipolynomial of period 2.
 qp3 = bishop_quasipolynomial(3)
-print("\nbishops, k=3: degree", qp3.degree,
+print("\nbishops, k=3: degree", len(qp3.coeffs[0]) - 1,
       " effective period", effective_period(qp3.coeffs))
 even, odd = qp3.coeffs
 diffs = [i for i, (a, b) in enumerate(zip(even, odd)) if a != b]

@@ -17,13 +17,13 @@ __version__ = "0.1.0"
 
 # Each public name, listed under the submodule that defines it.
 _EXPORTS = {
-    "board": """ANASSA_MOVES BISHOP_MOVES PIECES Board MoveSet bishop_color_board
-        inductive_subset placement_counts placement_profile square_board verify_collapse""",
+    "board": """ANASSA_MOVES BISHOP_MOVES PIECES MoveSet bishop_color_board
+        inductive_subset placement_counts placement_profile square_board""",
     "formulas": """anassa_rows anassa_split_rows anassas anassas_diagonal anassas_split
         bishops black_rooks black_rooks_alt count count_table max_pieces rook_rows
         white_rooks white_rooks_alt""",
-    "kernel": """assoc_stirling2 binomial convolve falling_factorial parity
-        stirling1_unsigned stirling2""",
+    "kernel": """assoc_stirling2 binomial convolve falling_factorial stirling1_unsigned
+        stirling2""",
     "quasipoly": """QuasiPolynomial anassa_coeffs anassa_quasipolynomial
         bishop_quasipolynomial divide_by_falling_factorial effective_period
         rook_and_bishop_quasipolynomials""",

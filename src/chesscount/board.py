@@ -1,11 +1,12 @@
 """Boards, ride-style pieces, and an exact placement counter.
 
-Squares are (column, row) pairs, both 1-based, row 1 at the bottom.  A piece
-is a set of move directions; it attacks along the full line spanned by each
-direction, with no blocking (placements are counted, so every other piece on
-a shared line is itself a mutual attacker).  The counter here uses no closed
-form: for a piece with two directions it matches the two families of lines,
-one line at a time, so it serves as an independent check of the formulas.
+Squares are (column, row) pairs, both 1-based, row 1 at the bottom; a board
+is a frozenset of squares.  A piece is a pair of move directions; it attacks
+along the full line spanned by each direction, with no blocking (placements
+are counted, so every other piece on a shared line is itself a mutual
+attacker).  The counter here uses no closed form: it matches the two
+families of lines, one line at a time, so it serves as an independent check
+of the formulas.
 """
 
 from __future__ import annotations
@@ -18,26 +19,23 @@ Move = tuple[int, int]
 
 
 class MoveSet(namedtuple("MoveSet", "moves")):
-    """Directions a piece rides along.
+    """The two directions a piece rides along.
 
-    Each direction must be nonzero with coprime coordinates (a primitive
-    vector), and no two directions may be parallel.
+    Each direction must be a primitive vector (coprime coordinates, so not
+    (0, 0)), and the two may not be parallel.
     """
 
     __slots__ = ()
 
     def __new__(cls, moves: tuple[Move, ...]) -> MoveSet:
-        if not moves:
-            raise ValueError("a piece needs at least one move direction")
+        if len(moves) != 2:
+            raise ValueError(f"a piece needs two move directions, got {len(moves)}")
         for dc, dr in moves:
-            if (dc, dr) == (0, 0):
-                raise ValueError("move directions must be nonzero")
             if math.gcd(dc, dr) != 1:
                 raise ValueError(f"move direction {(dc, dr)} is not primitive")
-        for i, (ac, ar) in enumerate(moves):
-            for bc, br in moves[i + 1:]:
-                if ac * br - ar * bc == 0:
-                    raise ValueError(f"parallel move directions {(ac, ar)} and {(bc, br)}")
+        (ac, ar), (bc, br) = moves
+        if ac * br == ar * bc:
+            raise ValueError(f"parallel move directions {(ac, ar)} and {(bc, br)}")
         return super().__new__(cls, moves)
 
     def line_keys(self, square: Square) -> tuple[int, ...]:
@@ -52,41 +50,25 @@ ANASSA_MOVES = MoveSet(((0, 1), (1, 1)))
 PIECES: dict[str, MoveSet] = {"bishop": BISHOP_MOVES, "anassa": ANASSA_MOVES}
 
 
-class Board(namedtuple("Board", "size squares")):
-    """A finite set of squares inside the size x size grid."""
-
-    __slots__ = ()
-
-    def __new__(cls, size: int, squares: frozenset[Square]) -> Board:
-        if size < 0:
-            raise ValueError(f"board size must be >= 0, got {size}")
-        for c, r in squares:
-            if not (1 <= c <= size and 1 <= r <= size):
-                raise ValueError(f"square {(c, r)} outside the {size}x{size} grid")
-        return super().__new__(cls, size, squares)
-
-
-def square_board(m: int) -> Board:
+def square_board(m: int) -> frozenset[Square]:
     """The full m x m board."""
     if m < 0:
         raise ValueError(f"board size must be >= 0, got {m}")
-    return Board(m, frozenset((c, r) for c in range(1, m + 1) for r in range(1, m + 1)))
+    return frozenset((c, r) for c in range(1, m + 1) for r in range(1, m + 1))
 
 
-def placement_profile(board: Board, moves: MoveSet) -> dict[tuple[int, int], int]:
+def placement_profile(board: frozenset[Square], moves: MoveSet) -> dict[tuple[int, int], int]:
     """Nonattacking placement counts on ``board``, keyed by (size, below).
 
     ``below`` is the number of occupied squares strictly below the main
-    diagonal (row < column).  A piece with two directions holds at most one
-    piece on each line of either family, so a placement is a matching between
-    the two line families.  The search steps over the lines of the larger
-    family, longest first; its state is the set of lines used in the other
-    family, and a line leaves the state once no later step touches it.
+    diagonal (row < column).  A piece holds at most one piece on each line of
+    either family, so a placement is a matching between the two families.
+    The search steps over the lines of the larger family, longest first; its
+    state is the set of lines used in the other family, and a line leaves the
+    state once no later step touches it.
     Nothing is cached: a caller that reads a board twice keeps the result.
     """
-    if len(moves.moves) != 2:
-        raise ValueError(f"the oracle needs two move directions, got {len(moves.moves)}")
-    squares = list(board.squares)
+    squares = list(board)
     keys = [moves.line_keys(sq) for sq in squares]
     if len({b for _, b in keys}) > len({a for a, _ in keys}):
         keys = [(b, a) for a, b in keys]
@@ -109,12 +91,11 @@ def placement_profile(board: Board, moves: MoveSet) -> dict[tuple[int, int], int
     return dict(states[0])
 
 
-def placement_counts(board: Board, moves: MoveSet) -> tuple[int, ...]:
+def placement_counts(board: frozenset[Square], moves: MoveSet) -> tuple[int, ...]:
     """Counts of nonattacking placements on ``board`` by size.
 
     Entry j is the number of j-piece placements; the tuple stops at the
-    largest feasible size.  Only pieces with two move directions are
-    supported.
+    largest feasible size.
     """
     profile = placement_profile(board, moves)
     counts = [0] * (max(size for size, _ in profile) + 1)
@@ -123,7 +104,7 @@ def placement_counts(board: Board, moves: MoveSet) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def bishop_color_board(m: int, color: str) -> Board:
+def bishop_color_board(m: int, color: str) -> frozenset[Square]:
     """Squares of the m x m board on one bishop color.
 
     White is the color of (1, 1): squares with column + row even.  Bishops
@@ -133,19 +114,18 @@ def bishop_color_board(m: int, color: str) -> Board:
         raise ValueError(f"color must be 'white' or 'black', got {color!r}")
     want = 0 if color == "white" else 1
     # Column c starts the color at row 1 when c + 1 has the color's parity.
-    squares = frozenset(
+    return frozenset(
         (c, r) for c in range(1, m + 1) for r in range(2 - (c + want) % 2, m + 1, 2)
     )
-    return Board(m, squares)
 
 
-def inductive_subset(m: int, piece: str) -> Board:
+def inductive_subset(m: int, piece: str) -> frozenset[Square]:
     """A 2m-1 square subset whose removal collapses the board one size down.
 
     For the bishop: the main diagonal plus the squares directly above it.
     For the anassa: the main diagonal plus the rest of the rightmost file.
-    Removing the subset from the m x m board leaves a board whose placement
-    counts equal those of the (m-1) x (m-1) board, for every piece count.
+    The reduced board ``square_board(m) - inductive_subset(m, piece)`` has
+    the placement counts of the (m-1) x (m-1) board, for every piece count.
     """
     if m < 1:
         raise ValueError(f"inductive subset needs board size >= 1, got {m}")
@@ -155,15 +135,4 @@ def inductive_subset(m: int, piece: str) -> Board:
         squares = {(i, i) for i in range(1, m + 1)} | {(m, r) for r in range(1, m)}
     else:
         raise ValueError(f"unknown piece {piece!r}")
-    return Board(m, frozenset(squares))
-
-
-def verify_collapse(m: int, piece: str, k_max: int) -> bool:
-    """Check the one-size-down collapse for 0 <= k <= k_max."""
-    moves = PIECES[piece]
-    reduced = Board(m, square_board(m).squares - inductive_subset(m, piece).squares)
-    smaller = square_board(m - 1)
-    # Profiles stop at their largest feasible size, so equal slices mean equal
-    # counts for every k <= k_max; a negative k_max checks nothing.
-    top = max(k_max + 1, 0)
-    return placement_counts(reduced, moves)[:top] == placement_counts(smaller, moves)[:top]
+    return frozenset(squares)

@@ -5,7 +5,7 @@ Subcommands: ``count`` (one closed-form count), ``table`` (count triangle),
 Output formats: csv, tsv and json; ``table`` also writes bfile (``index
 value`` lines with ``#`` headers).  ``table`` writes each row as it is
 formatted, in every format, json included.  Exit codes: 0 success, 1
-verification or I/O failure, 2 usage error.
+verification or I/O failure (stdout included), 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
 
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
@@ -156,10 +156,13 @@ def _emit(chunks: Iterable[str], out: str | None) -> int:
             for chunk in chunks:
                 sys.stdout.write(chunk)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader is gone.  Python flushes stdout again at exit, so its
-            # descriptor goes to the null device to keep that flush quiet.
+        except OSError as exc:
+            # Python flushes stdout again at exit, so its descriptor goes to
+            # the null device to keep that flush quiet.  A closed pipe means
+            # the reader is gone and needs no message.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
             return 1
         return 0
     try:
@@ -297,12 +300,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         args = _parse(argv)
     handlers = {"count": cmd_count, "table": cmd_table, "coeffs": cmd_coeffs, "verify": cmd_verify}
+    # Counts may pass the default cap on printing long integers.  It is lifted
+    # only while the handler runs, so argv, here and in later calls, keeps it.
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return handlers[args.command](args)
     except _UsageError as exc:
         # argparse reads the argv again only to report the refusal with the
         # subcommand's usage, as it reports its own errors.
         _parse(argv).parser.error(str(exc))
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .kernel import binomial, convolve, falling_factorial, parity, stirling2
+from .kernel import binomial, convolve, falling_factorial, stirling2
 
 
 def _rooks(m: int, k: int, half: int) -> int:
@@ -50,8 +50,8 @@ def rook_rows(m_max: int, color: str) -> Iterator[tuple[int, ...]]:
 
     Yields (R(m, 0), R(m, 1), ...) for m = 0 .. m_max, each row ending at
     its last nonzero entry.  R(0, 0) = 1 and R(m, k) = R(m-1, k)
-    + (m - k + s) * R(m-1, k-1), with s = parity(m) on the white board and
-    1 - parity(m) on the black one: the diagonal that step m adds to the
+    + (m - k + s) * R(m-1, k-1), with s = m % 2 on the white board and
+    1 - m % 2 on the black one: the diagonal that step m adds to the
     board offers m - k + s squares free of the other k - 1 rooks.
     Raises ValueError, when iterated, for m_max < 0 or an unknown color.
     """
@@ -62,7 +62,7 @@ def rook_rows(m_max: int, color: str) -> Iterator[tuple[int, ...]]:
     row = (1,)
     yield row
     for m in range(1, m_max + 1):
-        s = parity(m) if color == "white" else 1 - parity(m)
+        s = m % 2 if color == "white" else 1 - m % 2
         row = tuple(
             above + (m - k + s) * left
             for k, (above, left) in enumerate(zip(row + (0,), (0,) + row))
@@ -132,18 +132,14 @@ def anassas_split(m: int, k: int, p: int) -> int:
     """
     if k < 0 or p < 0:
         raise ValueError("anassas_split needs k, p >= 0")
-    total = 0
-    for j in range(p + 1):
-        partitions = stirling2(m + 1, m - k + j + 1)
-        if not partitions:  # most j when k is far past the board's capacity
-            continue
-        total += (
-            falling_factorial(m - k + j, j)
-            * binomial(k - p - 1, j)
-            * binomial(k - j, k - p)
-            * partitions
-        )
-    return total
+    # S(m+1, m-k+j+1) vanishes for j > k, and for m >= 0 also for j < k - m.
+    return sum(
+        falling_factorial(m - k + j, j)
+        * binomial(k - p - 1, j)
+        * binomial(k - j, k - p)
+        * stirling2(m + 1, m - k + j + 1)
+        for j in range(max(0, k - m) if m >= 0 else 0, min(p, k) + 1)
+    )
 
 
 def anassa_split_rows(m_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -218,12 +214,10 @@ def anassas(m: int, k: int) -> int:
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
     twice = 0
-    for j in range((k + 1) // 2 + 1):
-        partitions = stirling2(m, m - k + j)
-        if not partitions:  # most j when k is far past the board's capacity
-            continue
+    # For m >= 0, S(m, m-k+j) vanishes for j < k - m.
+    for j in range(max(0, k - m) if m >= 0 else 0, (k + 1) // 2 + 1):
         weight = binomial(k - j, j - 1) + binomial(k - j + 1, j)
-        body = falling_factorial(m - k + j, j) * partitions * weight
+        body = falling_factorial(m - k + j, j) * stirling2(m, m - k + j) * weight
         twice += body << (k - 2 * j + 1)
     total, odd = divmod(twice, 2)
     if odd:

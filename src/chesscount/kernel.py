@@ -12,11 +12,6 @@ import math
 from collections.abc import Callable, Iterator, Sequence
 
 
-def parity(m: int) -> int:
-    """Return m mod 2, always 0 or 1 (also for negative m)."""
-    return m % 2
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) extended to all integer pairs.
 
@@ -43,10 +38,10 @@ def falling_factorial(x: int, k: int) -> int:
     """Falling factorial x(x-1)...(x-k+1) for integer x and k >= 0."""
     if k < 0:
         raise ValueError(f"falling factorial needs k >= 0, got {k}")
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
+    if x >= 0:
+        return math.perm(x, k)  # 0 when k > x
+    # x(x-1)...(x-k+1) = (-1)^k * (-x)(-x+1)...(-x+k-1), a rising factorial.
+    return (-1) ** (k & 1) * math.perm(k - x - 1, k)
 
 
 def convolve(a: Sequence[object], b: Sequence[object]) -> tuple[object, ...]:

@@ -99,31 +99,27 @@ def anassa_coeffs(k: int) -> list[Fraction]:
     return [Fraction(t, den) for t in _monomial_numerators(twice)]
 
 
-class QuasiPolynomial(namedtuple("QuasiPolynomial", "degree period coeffs")):
-    """Degree-``degree`` quasipolynomial with one coefficient vector per residue.
+class QuasiPolynomial(namedtuple("QuasiPolynomial", "coeffs")):
+    """A quasipolynomial with one monomial coefficient vector per residue.
 
-    ``coeffs[m % period]`` is the monomial coefficient vector that applies to
-    board size m.  Coefficient vectors are stored per residue even when they
-    coincide; :func:`effective_period` collapses the representation on demand.
+    ``coeffs[m % len(coeffs)]`` is the vector that applies to board size m;
+    the period is ``len(coeffs)`` and the degree one less than the vectors'
+    common length.  Vectors are stored per residue even when they coincide;
+    :func:`effective_period` collapses the representation on demand.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, degree: int, period: int, coeffs: tuple[tuple[Fraction, ...], ...]
-    ) -> QuasiPolynomial:
-        if period < 1 or len(coeffs) != period:
-            raise ValueError("need one coefficient vector per residue class")
-        for vec in coeffs:
-            if len(vec) != degree + 1:
-                raise ValueError("coefficient vectors must have length degree + 1")
-        return super().__new__(cls, degree, period, coeffs)
+    def __new__(cls, coeffs: tuple[tuple[Fraction, ...], ...]) -> QuasiPolynomial:
+        if len({len(vec) for vec in coeffs}) != 1:  # also refuses no vectors
+            raise ValueError("need one coefficient vector per residue class, all of one length")
+        return super().__new__(cls, coeffs)
 
     def evaluate(self, m: int) -> int:
         """Exact value at board size m >= 0 (must come out an integer)."""
         if m < 0:
             raise ValueError(f"board size must be >= 0, got {m}")
-        vec = self.coeffs[m % self.period]
+        vec = self.coeffs[m % len(self.coeffs)]
         # Summed in integers over the coefficients' common denominator, so
         # the only Fraction is the total.
         den = math.lcm(*(c.denominator for c in vec))
@@ -154,7 +150,7 @@ def rook_and_bishop_quasipolynomials(k: int) -> tuple[QuasiPolynomial, ...]:
         black = _rook_vectors(k, p) if p else white
         rooks = ([Fraction(c, den) for c in vectors[k]] for vectors in (white, black))
         classes.append((*rooks, _bishop_from_rooks(k, white, black)))
-    return tuple(QuasiPolynomial(2 * k, 2, tuple(map(tuple, pair))) for pair in zip(*classes))
+    return tuple(QuasiPolynomial(tuple(map(tuple, pair))) for pair in zip(*classes))
 
 
 def bishop_quasipolynomial(k: int) -> QuasiPolynomial:
@@ -164,7 +160,7 @@ def bishop_quasipolynomial(k: int) -> QuasiPolynomial:
 
 def anassa_quasipolynomial(k: int) -> QuasiPolynomial:
     """The anassa count for fixed k as a plain polynomial in m."""
-    return QuasiPolynomial(2 * k, 1, (tuple(anassa_coeffs(k)),))
+    return QuasiPolynomial((tuple(anassa_coeffs(k)),))
 
 
 def effective_period(residue_vectors: Sequence[Sequence[Fraction]]) -> int:

@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 from chesscount import (
     ANASSA_MOVES,
     BISHOP_MOVES,
-    Board,
     MoveSet,
     bishop_color_board,
     inductive_subset,
     placement_counts,
     placement_profile,
     square_board,
-    verify_collapse,
 )
 from chesscount import board as board_module
+from chesscount.verify import suite_collapse
 from helpers import attacks
 
 
@@ -36,22 +35,24 @@ def _share_line(a, b, moves):
 
 
 def test_moveset_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        MoveSet(((0, 0),))
+    with pytest.raises(ValueError, match="not primitive"):
+        MoveSet(((0, 0), (1, 1)))
 
 
 def test_moveset_rejects_non_primitive_vector():
-    with pytest.raises(ValueError):
-        MoveSet(((0, 2),))
+    with pytest.raises(ValueError, match="not primitive"):
+        MoveSet(((1, 1), (0, 2)))
 
 
 def test_moveset_rejects_parallel_vectors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parallel"):
         MoveSet(((1, 1), (-1, -1)))
+    with pytest.raises(ValueError, match="parallel"):
+        MoveSet(((0, 1), (0, -1)))
 
 
 def test_moveset_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="two move directions"):
         MoveSet(())
 
 
@@ -75,7 +76,7 @@ def test_anassa_attacks_file_and_one_diagonal():
 def test_attacks_is_symmetric():
     # Shared line keys are the pairwise attack test of tests/helpers.py.
     for moves in (BISHOP_MOVES, ANASSA_MOVES):
-        for a, b in itertools.combinations(sorted(square_board(4).squares), 2):
+        for a, b in itertools.combinations(sorted(square_board(4)), 2):
             assert _share_line(a, b, moves) == _share_line(b, a, moves)
             assert _share_line(a, b, moves) == attacks(a, b, moves.moves), (a, b)
 
@@ -84,7 +85,7 @@ def test_attack_ignores_blocking():
     # A piece between two attackers changes nothing: the relation is pairwise,
     # so no two of these three squares hold pieces together.
     assert _share_line((1, 1), (4, 4), BISHOP_MOVES)
-    diagonal = Board(4, frozenset({(1, 1), (2, 2), (4, 4)}))
+    diagonal = frozenset({(1, 1), (2, 2), (4, 4)})
     assert placement_counts(diagonal, BISHOP_MOVES) == (1, 3)
 
 
@@ -92,17 +93,10 @@ def test_attack_ignores_blocking():
 
 
 def test_square_board_sizes():
-    assert square_board(0).squares == frozenset()
-    assert len(square_board(3).squares) == 9
+    assert square_board(0) == frozenset()
+    assert len(square_board(3)) == 9
     with pytest.raises(ValueError):
         square_board(-1)
-
-
-def test_board_rejects_out_of_range_squares():
-    with pytest.raises(ValueError):
-        Board(2, frozenset({(3, 1)}))
-    with pytest.raises(ValueError):
-        Board(2, frozenset({(0, 1)}))
 
 
 # --- exhaustive counter ---
@@ -112,7 +106,7 @@ def _count_by_combinations(board, moves, k):
     # Independent route: raw subsets filtered by the pairwise attack test.
     return sum(
         1
-        for combo in itertools.combinations(sorted(board.squares), k)
+        for combo in itertools.combinations(sorted(board), k)
         if all(not attacks(a, b, moves.moves) for a, b in itertools.combinations(combo, 2))
     )
 
@@ -149,30 +143,20 @@ def test_placement_counts_profile():
 
 
 def test_oracle_needs_two_directions():
-    board = square_board(3)
-    one = MoveSet(((0, 1),))
-    three = MoveSet(((0, 1), (1, 0), (1, 1)))
-    for moves in (one, three):
-        with pytest.raises(ValueError):
-            placement_counts(board, moves)
-        with pytest.raises(ValueError):
-            placement_profile(board, moves)
-        # The attack relation itself still takes any move set.
-        assert _share_line((1, 1), (1, 3), moves)
-        assert not _share_line((1, 1), (2, 3), moves)
-    assert not _share_line((1, 1), (2, 1), one)
-    assert _share_line((1, 1), (2, 1), three)
+    # A move set holds exactly two directions, so the oracle never sees another count.
+    for moves in (((0, 1),), ((0, 1), (1, 0), (1, 1))):
+        with pytest.raises(ValueError, match="two move directions"):
+            MoveSet(moves)
 
 
 @settings(deadline=None)
 @given(st.frozensets(st.tuples(st.integers(1, 4), st.integers(1, 4))))
-def test_counter_matches_subset_filtering_on_irregular_boards(squares):
-    board = Board(4, squares)
+def test_counter_matches_subset_filtering_on_irregular_boards(board):
     for moves in (BISHOP_MOVES, ANASSA_MOVES):
         profile = placement_counts(board, moves)
         for k in range(len(profile) + 1):
             want = _count_by_combinations(board, moves, k)
-            assert _at(profile, k) == want, (sorted(squares), k)
+            assert _at(profile, k) == want, (sorted(board), k)
 
 
 @given(st.integers(0, 4), st.integers(0, 30))
@@ -187,14 +171,14 @@ def test_color_boards_partition_the_board():
     for m in range(7):
         white = bishop_color_board(m, "white")
         black = bishop_color_board(m, "black")
-        assert white.squares | black.squares == square_board(m).squares
-        assert not white.squares & black.squares
-        assert len(white.squares) == (m * m + 1) // 2
+        assert white | black == square_board(m)
+        assert not white & black
+        assert len(white) == (m * m + 1) // 2
 
 
 def test_white_is_the_color_of_the_corner():
-    assert bishop_color_board(1, "white").squares == frozenset({(1, 1)})
-    assert bishop_color_board(1, "black").squares == frozenset()
+    assert bishop_color_board(1, "white") == frozenset({(1, 1)})
+    assert bishop_color_board(1, "black") == frozenset()
     with pytest.raises(ValueError):
         bishop_color_board(2, "green")
 
@@ -234,7 +218,7 @@ def test_below_diagonal_sums_to_total():
 
 def test_below_diagonal_matches_subset_filtering():
     for m in range(5):
-        squares = sorted(square_board(m).squares)
+        squares = sorted(square_board(m))
         profile = placement_profile(square_board(m), ANASSA_MOVES)
         for k in range(m + 2):
             split = [0] * (k + 2)
@@ -255,13 +239,13 @@ def test_inductive_subset_shapes():
     for m in range(1, 7):
         for piece in ("bishop", "anassa"):
             subset = inductive_subset(m, piece)
-            assert len(subset.squares) == 2 * m - 1
-            remainder = square_board(m).squares - subset.squares
+            assert len(subset) == 2 * m - 1
+            remainder = square_board(m) - subset
             assert len(remainder) == (m - 1) ** 2
-    assert inductive_subset(3, "bishop").squares == frozenset(
+    assert inductive_subset(3, "bishop") == frozenset(
         {(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)}
     )
-    assert inductive_subset(3, "anassa").squares == frozenset(
+    assert inductive_subset(3, "anassa") == frozenset(
         {(1, 1), (2, 2), (3, 3), (3, 1), (3, 2)}
     )
     with pytest.raises(ValueError):
@@ -270,21 +254,13 @@ def test_inductive_subset_shapes():
         inductive_subset(3, "queen")
 
 
-def test_collapse_one_size_down():
-    for piece, bound in (("bishop", lambda m: max(2 * m - 2, 1)), ("anassa", lambda m: m)):
-        for m in range(1, 6):
-            assert verify_collapse(m, piece, bound(m) + 1), (piece, m)
-
-
 def test_collapse_fails_without_the_inductive_subset(monkeypatch):
     # The other piece's subset has as many squares, but removing it leaves a
-    # board whose counts first differ from the smaller board's at size `first`.
+    # board whose counts differ from the smaller board's from m = 3 on.
     subset = board_module.inductive_subset
     other = {"bishop": "anassa", "anassa": "bishop"}
     monkeypatch.setattr(board_module, "inductive_subset", lambda m, piece: subset(m, other[piece]))
-    for piece, first in (("bishop", 3), ("anassa", 2)):
-        for m in (3, 4, 5):
-            assert verify_collapse(m, piece, -3), (piece, m)
-            assert verify_collapse(m, piece, first - 1), (piece, m)
-            assert not verify_collapse(m, piece, first), (piece, m)
-            assert not verify_collapse(m, piece, 2 * m), (piece, m)
+    (r,) = suite_collapse(6)
+    assert r.checks == 12
+    failed = [failure.split(":")[0] for failure in r.failures]
+    assert failed == [f"{piece} m={m}" for piece in ("bishop", "anassa") for m in range(3, 7)]

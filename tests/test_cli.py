@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import resource
@@ -20,12 +21,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def run_cli(*args, preexec_fn=None):
+def run_cli(*args, preexec_fn=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "chesscount", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         env=env,
         text=False,
         preexec_fn=preexec_fn,
@@ -54,6 +56,39 @@ def test_count_json(capsys):
     assert cli.main(["count", "anassa", "4", "2", "--below", "2", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"piece": "anassa", "m": 4, "k": 2, "below": 2, "count": 7}
+
+
+def test_counts_past_the_int_text_cap_print():
+    # 1700! has 4,760 digits, past the interpreter's default cap of 4,300 on
+    # int-to-text conversion.  The CLI runs in a child with the default cap;
+    # this process lifts it only to write the answer.
+    if hasattr(sys, "set_int_max_str_digits"):  # the cap came in patch releases
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        value = str(math.factorial(1700))
+        sys.set_int_max_str_digits(cap)
+    else:
+        value = str(math.factorial(1700))
+    payload = f'{{"piece": "anassa", "m": -1, "k": 1700, "count": {value}}}\n'
+    for fmt, want in (("csv", f"{value}\n"), ("json", payload)):
+        done = run_cli("count", "anassa", "-1", "1700", "--format", fmt)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode() == want, fmt
+
+
+def test_argv_stays_capped_after_a_call(capsys):
+    # The CLI lifts the int-to-text cap only while a request runs, so a later
+    # call in the same process still refuses a 5,001-digit m as a usage error.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-text cap")
+    cap = sys.get_int_max_str_digits()
+    assert cli.main(["count", "anassa", "1", "0"]) == 0
+    assert sys.get_int_max_str_digits() == cap
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["count", "anassa", "1" * 5001, "0"])
+    assert exited.value.code == 2
+    assert sys.get_int_max_str_digits() == cap
+    capsys.readouterr()
 
 
 # --- table ---
@@ -168,6 +203,20 @@ def test_closed_pipe_exits_1_without_a_traceback(fmt, unbuffered):
     child.stderr.close()
     assert child.wait(timeout=60) == 1
     assert b"Traceback" not in stderr, stderr.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "bishop", "8", "2"], ["table", "bishop", "8"], ["verify", "collapse", "--m-max", "3"]],
+)
+def test_unwritable_stdout_exits_1_with_a_message(argv):
+    with open("/dev/full", "wb") as full:
+        done = run_cli(*argv, stdout=full)
+    assert done.returncode == 1
+    stderr = done.stderr.decode()
+    assert stderr.startswith("cannot write stdout: "), stderr
+    assert "Traceback" not in stderr, stderr
 
 
 # --- coeffs ---

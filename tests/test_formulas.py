@@ -42,8 +42,8 @@ def test_rook_frozen_values():
 def test_rook_single_piece_counts_squares():
     # One rook anywhere: the count is just the number of squares of that color.
     for m in range(9):
-        assert white_rooks(m, 1) == len(bishop_color_board(m, "white").squares)
-        assert black_rooks(m, 1) == len(bishop_color_board(m, "black").squares)
+        assert white_rooks(m, 1) == len(bishop_color_board(m, "white"))
+        assert black_rooks(m, 1) == len(bishop_color_board(m, "black"))
 
 
 def test_rook_edge_rows():
@@ -320,3 +320,30 @@ def test_anassa_table_does_not_build_split_triangles(monkeypatch):
     *_, last = count_table("anassa", 30)
     assert last == tuple(anassas(30, k) for k in range(31))
     assert list(count_table("anassa", 30, rect=True))[2] == (1, 4, 3) + (0,) * 28
+
+
+def test_anassa_sums_skip_the_terms_past_the_board(monkeypatch):
+    # For m >= 0 the Stirling factor vanishes below j = k - m, and at every m
+    # above j = k, so a count far past the board's capacity, or with far more
+    # pieces below the diagonal than on the board, reads few Stirling numbers.
+    # The stub stops at its budget, so a sum that walks the zero terms fails
+    # at once rather than running for minutes.
+    calls = []
+    lookup = formulas.stirling2
+
+    def counted(n, k):
+        calls.append((n, k))
+        assert len(calls) <= budget, "walked the vanishing terms"
+        return lookup(n, k)
+
+    monkeypatch.setattr(formulas, "stirling2", counted)
+    m, k = 3, 10**6
+    budget = m + 2
+    for count in (lambda: anassas(m, k), lambda: anassas_split(m, k, k)):
+        assert count() == 0
+        calls.clear()
+    k = 2
+    budget = k + 1
+    for m, below in ((10, 10**6), (10, k + 1), (-4, 10**6)):
+        assert anassas_split(m, k, below) == 0
+        calls.clear()

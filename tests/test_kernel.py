@@ -12,7 +12,6 @@ from chesscount import (
     binomial,
     falling_factorial,
     kernel,
-    parity,
     stirling1_unsigned,
     stirling2,
 )
@@ -211,7 +210,7 @@ def test_tables_fill_in_any_order(order):
                 assert lookup(n, k) == rows[n][k], (name, n, k)
 
 
-# --- falling factorial and parity ---
+# --- falling factorial ---
 
 
 def test_falling_factorial_values():
@@ -222,9 +221,10 @@ def test_falling_factorial_values():
 
 
 def test_falling_factorial_matches_perm():
-    for x in range(10):
-        for k in range(x + 1):
-            assert falling_factorial(x, k) == math.perm(x, k)
+    # Against the explicit product, not math.perm, which the kernel calls.
+    for x in range(-30, 30):
+        for k in range(30):
+            assert falling_factorial(x, k) == math.prod(x - i for i in range(k)), (x, k)
 
 
 def test_falling_factorial_rejects_negative_k():
@@ -236,13 +236,3 @@ def test_falling_factorial_rejects_negative_k():
 def test_falling_factorial_peels_one_step(x, k):
     assert falling_factorial(x, k) == x * falling_factorial(x - 1, k - 1)
 
-
-@given(st.integers(-100, 100))
-def test_parity_is_a_residue(m):
-    assert parity(m) in (0, 1)
-    assert (m - parity(m)) % 2 == 0
-
-
-def test_parity_of_negatives():
-    assert parity(-1) == 1
-    assert parity(-2) == 0

@@ -14,7 +14,7 @@ SUBMODULES = ("board", "formulas", "kernel", "quasipoly")
 
 def test_every_public_name_is_its_submodules_object():
     modules = [importlib.import_module(f"chesscount.{name}") for name in SUBMODULES]
-    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 39
+    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 36
     for name in chesscount.__all__:
         value = getattr(chesscount, name)
         assert any(vars(module).get(name) is value for module in modules), name
@@ -38,7 +38,7 @@ def test_all_is_every_public_function_and_class_of_the_submodules():
 
 
 def test_removed_wrappers_are_unreachable():
-    from chesscount import cli, formulas
+    from chesscount import board, cli, formulas, kernel
 
     for name in (
         "attacks",
@@ -53,11 +53,17 @@ def test_removed_wrappers_are_unreachable():
         "bishop_coeffs",
         "CountTable",
         "anassas_by_split_sum",
+        "Board",
+        "verify_collapse",
+        "parity",
     ):
         assert not hasattr(chesscount, name), name
     assert not hasattr(formulas, "CountTable")
     assert not hasattr(formulas, "anassas_by_split_sum")
     assert not hasattr(cli, "parse_bfile")
+    assert not hasattr(board, "Board")
+    assert not hasattr(board, "verify_collapse")
+    assert not hasattr(kernel, "parity")
 
 
 def test_readme_states_the_number_of_public_names():
