@@ -11,11 +11,13 @@ All output is deterministic: the same invocation produces the same bytes.
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
 plain form from it directly and hands any other argv to the argparse parser
 that ``build_parser`` makes from it, so argparse loads only for help and
-usage errors.
+usage errors.  ``run`` is the process entry: ``python -m chesscount`` and
+the installed ``chesscount`` script both call it.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -316,5 +318,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.set_int_max_str_digits(cap)
 
 
+def run() -> int:
+    """The process entry: ``main`` on the process's argv, then ``gc.freeze()`` however it ends.
+
+    The collections at interpreter shutdown skip frozen objects, so a run
+    exits without walking all it holds; ``atexit`` handlers, the flush of
+    stdout and stderr and every exit status are kept.  ``main`` never
+    freezes, because tests call it many times in one process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

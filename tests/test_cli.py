@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import ast
+import gc
 import hashlib
 import json
 import math
@@ -217,6 +218,76 @@ def test_unwritable_stdout_exits_1_with_a_message(argv):
     stderr = done.stderr.decode()
     assert stderr.startswith("cannot write stdout: "), stderr
     assert "Traceback" not in stderr, stderr
+
+
+# --- the process entry: main, then gc.freeze ---
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [(["count", "bishop", "8", "2"], 0, b"1736\n"), (["count", "bishop", "8", "-1"], 2, b"")],
+)
+def test_entry_freezes_and_still_runs_atexit_handlers(argv, code, out):
+    script = (
+        "import atexit, gc, sys\n"
+        "from chesscount import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        f"sys.argv = ['chesscount', *{argv!r}]\n"
+        "sys.exit(cli.run())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert done.returncode == code
+    assert done.stdout == out
+    *_, last = done.stderr.decode().splitlines()
+    assert last.startswith("frozen ") and int(last.split()[1]) > 0, done.stderr.decode()
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # Tests and the benchmark's tracer call main many times in one process;
+    # frozen objects would never be collected there.
+    before = gc.get_freeze_count()
+    assert cli.main(["count", "bishop", "8", "2"]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count", "bishop", "8", "-1"]])
+def test_entry_prints_what_main_prints_for_help_and_usage_errors(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    done = run_cli(*argv)
+    assert done.returncode == excinfo.value.code
+    assert (done.stdout.decode(), done.stderr.decode()) == (captured.out, captured.err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_entry_output_arrives_complete(unbuffered, capsys, monkeypatch):
+    # 75 KB, more than a pipe holds, so the child's writes wait on the reader.
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    assert cli.main(["table", "anassa", "60"]) == 0
+    done = run_cli("table", "anassa", "60")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == capsys.readouterr().out
+
+
+def test_every_launch_calls_the_one_entry():
+    # An installed script pointing elsewhere would skip the freeze.
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    for source in ("__main__.py", "cli.py"):
+        tree = ast.parse((SRC / "chesscount" / source).read_text())
+        exits = [
+            node.args[0].func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"
+        ]
+        assert [f"chesscount.cli:{name}" for name in exits] == [scripts["chesscount"]], source
+    assert scripts["chesscount"] == "chesscount.cli:run"
 
 
 # --- coeffs ---
