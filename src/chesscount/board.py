@@ -9,8 +9,6 @@ families of lines, one line at a time, so it serves as an independent check
 of the formulas.
 """
 
-from __future__ import annotations
-
 import math
 from collections import defaultdict, namedtuple
 
@@ -27,7 +25,7 @@ class MoveSet(namedtuple("MoveSet", "moves")):
 
     __slots__ = ()
 
-    def __new__(cls, moves: tuple[Move, ...]) -> MoveSet:
+    def __new__(cls, moves: tuple[Move, ...]) -> "MoveSet":
         if len(moves) != 2:
             raise ValueError(f"a piece needs two move directions, got {len(moves)}")
         for dc, dr in moves:

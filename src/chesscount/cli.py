@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: the grammar, the ``count`` path and the process entry.
 
 Subcommands: ``count`` (one closed-form count), ``table`` (count triangle),
 ``coeffs`` (quasipolynomial coefficients), ``verify`` (self-check suites).
@@ -9,21 +9,20 @@ verification or I/O failure (stdout included), 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
 
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
-plain form from it directly and hands any other argv to the argparse parser
-that ``build_parser`` makes from it, so argparse loads only for help and
-usage errors.  ``run`` is the process entry: ``python -m chesscount`` and
-the installed ``chesscount`` script both call it.
+plain form from it directly.  This module holds what a ``count`` runs; the
+other subcommands and the argparse parser, which reads every other argv,
+live in :mod:`chesscount.commands`, which ``main`` imports only for them, so
+a count compiles neither, and argparse loads only for help and usage errors.
+``run`` is the process entry: ``python -m chesscount`` and the installed
+``chesscount`` script both call it.
 """
-
-from __future__ import annotations
 
 import gc
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
 
-_SEPARATORS = {"csv": ",", "tsv": "\t"}
 _PIECE = ("piece", {"choices": ("bishop", "anassa")})
 _OUT = ("--out", {"metavar": "PATH", "help": "write output to PATH instead of stdout"})
 
@@ -80,23 +79,6 @@ class _UsageError(Exception):
     """A request the grammar admits but its subcommand refuses; ``main`` exits 2 with it."""
 
 
-def build_parser():
-    """The argparse parser for GRAMMAR, with each subcommand's parser as its ``parser`` default."""
-    import argparse  # only for help and usage errors
-
-    parser = argparse.ArgumentParser(
-        prog="chesscount",
-        description="Exact counts of nonattacking bishop and anassa placements on m x m boards.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, arguments) in GRAMMAR.items():
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(parser=p)
-        for argument, keywords in arguments:
-            p.add_argument(argument, **keywords)
-    return parser
-
-
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The request ``argv`` spells in plain form, read by GRAMMAR; None for any other argv.
 
@@ -142,15 +124,6 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     return None if positionals else SimpleNamespace(**fields)
 
 
-def _parse(argv: Sequence[str]) -> SimpleNamespace:
-    """Read ``argv`` with argparse; help and usage errors print and exit there."""
-    args, extra = build_parser().parse_known_args(argv, SimpleNamespace())
-    # Each subcommand's parser, so a usage error prints that subcommand's usage.
-    if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
-
-
 def _emit(chunks: Iterable[str], out: str | None) -> int:
     """Write chunks in order, each as it comes, to stdout or to ``out``: 1 if that fails, else 0."""
     if out is None:
@@ -177,10 +150,25 @@ def _emit(chunks: Iterable[str], out: str | None) -> int:
     return 0
 
 
-def _emit_json(payload: dict, out: str | None) -> int:
-    import json  # only for --format json
+def _json(value: object) -> str:
+    """``json.dumps(value)`` for the values this CLI writes, without loading ``json``.
 
-    return _emit([json.dumps(payload) + "\n"], out)
+    Those are ints, bools, lists, tuples, dicts and strings that need no
+    escape: the keys, the piece names and ``n/d`` fractions.
+    """
+    if type(value) is int:  # first, as table rows hold thousands; a bool is not one
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f'"{key}": {_json(item)}' for key, item in value.items()) + "}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f'"{value}"'
+
+
+def _emit_json(payload: dict, out: str | None) -> int:
+    return _emit([_json(payload) + "\n"], out)
 
 
 def cmd_count(args: SimpleNamespace) -> int:
@@ -205,111 +193,26 @@ def cmd_count(args: SimpleNamespace) -> int:
     return _emit([f"{value}\n"], args.out)
 
 
-def _table_bfile(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iterator[str]:
-    offset = args.offset or 0
-    bound = "padded to a common width" if args.rect else "truncated at the last nonzero count"
-    yield (
-        f"# nonattacking {args.piece} placements on m x m boards\n"
-        f"# triangle rows m = 0..{args.m_max}, k ascending within each row ({bound})\n"
-        f"# single running index in row-major order, starting at {offset}\n"
-    )
-    for row in rows:
-        yield "".join(f"{offset + k} {v}\n" for k, v in enumerate(row))
-        offset += len(row)
-
-
-def _table_json(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iterator[str]:
-    """``json.dumps`` of the table's payload and a newline, in one chunk per row."""
-    import json  # only for --format json
-
-    head = {"piece": args.piece, "m_max": args.m_max, "rect": args.rect, "rows": []}
-    yield json.dumps(head)[:-2]  # up to the open bracket of the rows
-    separator = ""
-    for row in rows:
-        yield separator + json.dumps(row)
-        separator = ", "
-    yield "]}\n"
-
-
-def cmd_table(args: SimpleNamespace) -> int:
-    from . import formulas
-
-    if args.m_max < 0:
-        raise _UsageError(f"m_max must be >= 0, got {args.m_max}")
-    if args.offset is not None and args.format != "bfile":
-        raise _UsageError("--offset applies only to --format bfile")
-    rows = formulas.count_table(args.piece, args.m_max, rect=args.rect)
-    if args.format == "json":
-        return _emit(_table_json(args, rows), args.out)
-    if args.format == "bfile":
-        return _emit(_table_bfile(args, rows), args.out)
-    sep = _SEPARATORS[args.format]
-    return _emit((sep.join(map(str, row)) + "\n" for row in rows), args.out)
-
-
-def cmd_coeffs(args: SimpleNamespace) -> int:
-    from . import quasipoly
-
-    if args.k < 0:
-        raise _UsageError(f"k must be >= 0, got {args.k}")
-    if args.piece == "bishop":
-        qp = quasipoly.bishop_quasipolynomial(args.k)
-    else:
-        qp = quasipoly.anassa_quasipolynomial(args.k)
-    period = quasipoly.effective_period(qp.coeffs)
-    vectors = qp.coeffs[:period]
-    if args.format == "json":
-        payload = {
-            "piece": args.piece,
-            "k": args.k,
-            "period": period,
-            "coeffs": [[f"{c.numerator}/{c.denominator}" for c in vec] for vec in vectors],
-        }
-        return _emit_json(payload, args.out)
-    sep = _SEPARATORS[args.format]
-    return _emit((sep.join(map(str, vec)) + "\n" for vec in vectors), args.out)
-
-
-def cmd_verify(args: SimpleNamespace) -> int:
-    from . import verify
-
-    try:
-        verify.check_bounds(args.suite, args.m_max, args.k_max)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    results = verify.run_suite(args.suite, m_max=args.m_max, k_max=args.k_max)
-    lines = []
-    total_checks = sum(r.checks for r in results)
-    total_failures = sum(len(r.failures) for r in results)
-    for r in results:
-        if r.ok:
-            lines.append(f"ok    {r.name} ({r.checks} checks)")
-        else:
-            lines.append(f"FAIL  {r.name} ({r.checks} checks, {len(r.failures)} failed)")
-            lines.extend(f"      {failure}" for failure in r.failures or ["no checks"])
-    lines.append(
-        f"summary: {len(results)} check groups, {total_checks} checks, {total_failures} failures"
-    )
-    status = _emit(["\n".join(lines) + "\n"], args.out)
-    if status:
-        return status
-    return 0 if all(r.ok for r in results) else 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
-    if args is None:
-        args = _parse(argv)
-    handlers = {"count": cmd_count, "table": cmd_table, "coeffs": cmd_coeffs, "verify": cmd_verify}
+    handler = cmd_count
+    if args is None or args.command != "count":
+        from . import commands  # the other subcommands, and argparse for any other argv
+
+        if args is None:
+            args = commands._parse(argv)
+        handler = commands.HANDLERS.get(args.command, cmd_count)  # argparse reads counts too
     # Counts may pass the default cap on printing long integers.  It is lifted
     # only while the handler runs, so argv, here and in later calls, keeps it.
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except _UsageError as exc:
+        from .commands import _parse
+
         # argparse reads the argv again only to report the refusal with the
         # subcommand's usage, as it reports its own errors.
         _parse(argv).parser.error(str(exc))

@@ -6,8 +6,6 @@ the integer basis-change rows behind the quasipolynomial coefficients.
 Everything here is exact: no floats, no overflow, ``int`` in, ``int`` out.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Callable, Iterator, Sequence
 

@@ -10,8 +10,6 @@ The rook and bishop vectors of both parity classes come from one
 constructor, the only place that picks each color's parity shift.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -110,7 +108,7 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "coeffs")):
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: tuple[tuple[Fraction, ...], ...]) -> QuasiPolynomial:
+    def __new__(cls, coeffs: tuple[tuple[Fraction, ...], ...]) -> "QuasiPolynomial":
         if len({len(vec) for vec in coeffs}) != 1:  # also refuses no vectors
             raise ValueError("need one coefficient vector per residue class, all of one length")
         return super().__new__(cls, coeffs)

@@ -5,11 +5,10 @@ the offending argument tuples with both values.  The CLI ``verify`` command
 is a thin reporting layer over this module.
 """
 
-from __future__ import annotations
-
 import math
 
-# ``board`` loads inside the suites that search boards, and ``quasipoly`` and
+# ``board`` loads inside the suites that search boards, ``rows`` inside the
+# two that read a recurrence or ``max_pieces``, and ``quasipoly`` and
 # ``fractions`` inside ``suite_coeffs``, so a process imports only what its
 # suites run.  The identities check the integer basis-change rows directly.
 from . import formulas
@@ -51,6 +50,7 @@ _PAST_MAX = 2  # sizes checked past the largest feasible one, where both sides m
 
 def suite_oracle(m_max: int = 5) -> list[CheckResult]:
     """All closed-form counts against exhaustive search on small boards."""
+    from . import rows
     from .board import (
         ANASSA_MOVES,
         BISHOP_MOVES,
@@ -78,7 +78,7 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
             anassa[k] += n
         counts = {"bishop": bishop[board], "anassa": anassa}
         for piece in PIECES:
-            for k in range(formulas.max_pieces(piece, m) + _PAST_MAX + 1):
+            for k in range(rows.max_pieces(piece, m) + _PAST_MAX + 1):
                 closed[piece].compare(
                     f"{piece} m={m} k={k}", formulas.count(piece, m, k), _at(counts[piece], k)
                 )
@@ -90,7 +90,7 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
                     below.get((k, p), 0),
                 )
         product = convolve(bishop[white], bishop[black])
-        for k in range(formulas.max_pieces("bishop", m) + 1):
+        for k in range(rows.max_pieces("bishop", m) + 1):
             colors.compare(f"color split m={m} k={k}", _at(product, k), _at(counts["bishop"], k))
     return [*closed.values(), split, colors]
 
@@ -119,6 +119,8 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     "bishop counts: three routes agree" and "anassa split" stop at
     m = min(m_max, 12), whatever m_max is: their check counts are pinned.
     """
+    from . import rows
+
     results = []
 
     r = CheckResult("extended binomials: Pascal rule and symmetry")
@@ -173,12 +175,12 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     # On even boards the two colors are mirror images that the two
     # recurrences reach by different steps.
     even = CheckResult("even boards: the two colors agree")
-    colors = [formulas.rook_rows(m_max, c) for c in ("white", "black")]
+    colors = [rows.rook_rows(m_max, c) for c in ("white", "black")]
     for m, (white, black) in enumerate(zip(*colors)):
         for k in range(11):
             closed = formulas.white_rooks(m, k)
             r.compare(f"white rec m={m} k={k}", _at(white, k), closed)
-            r.compare(f"white alt m={m} k={k}", formulas.white_rooks_alt(m, k), closed)
+            r.compare(f"white alt m={m} k={k}", rows.white_rooks_alt(m, k), closed)
             r.compare(f"black rec m={m} k={k}", _at(black, k), formulas.black_rooks(m, k))
             if m % 2 == 0:
                 even.compare(f"m={m} k={k}", _at(white, k), _at(black, k))
@@ -188,9 +190,9 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     r = CheckResult("bishop counts: three routes agree")
     # Table rows convolve the black and white rook_rows of each size; the
     # alternating sums use no Stirling number and no recurrence.
-    for m, row in enumerate(formulas.count_table("bishop", small)):
-        white = [formulas.white_rooks_alt(m, j) for j in range(11)]
-        black = [formulas.black_rooks_alt(m, j) for j in range(11)]
+    for m, row in enumerate(rows.count_table("bishop", small)):
+        white = [rows.white_rooks_alt(m, j) for j in range(11)]
+        black = [rows.black_rooks_alt(m, j) for j in range(11)]
         for k in range(11):
             closed = formulas.bishops(m, k)
             r.compare(f"convolution m={m} k={k}", _at(row, k), closed)
@@ -199,7 +201,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("anassa split: recurrence, closed form, and total agree")
-    for m, tri in enumerate(formulas.anassa_split_rows(small)):
+    for m, tri in enumerate(rows.anassa_split_rows(small)):
         for k in range(k_max + 1):
             split = tri[k] if k <= m else ()
             closed = [formulas.anassas_split(m, k, p) for p in range(k + 1)]
@@ -223,7 +225,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
 
     r = CheckResult("saturated anassa count: two summations and the closed form")
     for m in range(9):
-        first, second = formulas.anassas_diagonal(m)
+        first, second = rows.anassas_diagonal(m)
         r.compare(f"pair m={m}", first, second)
         r.compare(f"closed m={m}", formulas.anassas(m, m), first)
     results.append(r)

@@ -8,6 +8,7 @@ meaningful.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -109,6 +110,24 @@ def polyval(coeffs: Sequence[Fraction], x: int) -> Fraction:
     return sum((c * Fraction(x) ** d for d, c in enumerate(coeffs)), Fraction(0))
 
 
+def class_value(classes: Sequence[Sequence[Fraction]], m: int) -> int:
+    """A quasipolynomial's value at any integer m, negative m included, from its class vectors.
+
+    Vector m mod len(classes) (Python's modulo, so m = -1 reads the last
+    class) holds ascending monomial coefficients.  It is evaluated by
+    Horner's rule over one common denominator, in integers; the division at
+    the end must be exact.
+    """
+    vector = classes[m % len(classes)]
+    denominator = math.lcm(*(c.denominator for c in vector))
+    total = 0
+    for c in reversed(vector):
+        total = total * m + c.numerator * (denominator // c.denominator)
+    value, remainder = divmod(total, denominator)
+    assert not remainder, (m, Fraction(total, denominator))
+    return value
+
+
 def attacks(a: tuple[int, int], b: tuple[int, int], directions: Sequence[tuple[int, int]]) -> bool:
     """Whether riders on distinct squares a and b attack each other.
 
@@ -150,6 +169,26 @@ def rook_rows_cut(m_max: int, width: int, white: bool) -> Iterator[list[int]]:
         yield row
 
 
+def rook_rows_backward(m_min: int, width: int, white: bool) -> Iterator[list[int]]:
+    """One-color rook counts R(m, 0 .. width-1) for m = 0, -1, .., m_min, by recurrence.
+
+    The recurrence runs backward from R(0, .) = (1, 0, ...): each step solves
+    the forward step of :func:`rook_rows_cut` for the row before, j ascending:
+    R(m-1, j) = R(m, j) - (m - j + s) R(m-1, j-1), with s = m mod 2 on the
+    white board and 1 - m mod 2 on the black one.  No Stirling number and no
+    closed form enters.
+    """
+    row = [1] + [0] * (width - 1)
+    yield row
+    for m in range(0, m_min, -1):
+        s = m % 2 if white else 1 - m % 2
+        before = [row[0]]
+        for j in range(1, width):
+            before.append(row[j] - (m - j + s) * before[j - 1])
+        row = before
+        yield row
+
+
 def anassa_rows_cut(m_max: int, width: int) -> Iterator[list[int]]:
     """Anassa counts A(m, 0 .. width-1) for m = 0 .. m_max, by recurrence.
 
@@ -167,6 +206,26 @@ def anassa_rows_cut(m_max: int, width: int) -> Iterator[list[int]]:
         ]
         assert not any(value & 1 for value in twice), m
         row = [value >> 1 for value in twice]
+        yield row
+
+
+def anassa_rows_backward(m_min: int, width: int) -> Iterator[list[int]]:
+    """Anassa counts A(m, 0 .. width-1) for m = 0, -1, .., m_min, by recurrence.
+
+    The three-term step of :func:`anassa_rows_cut` solved for the row before,
+    k ascending: A(m-1, k) = A(m, k) - ((4m-3k+1) A(m-1,k-1)
+    + (2m-k+1)(m-k+1) A(m-1,k-2)) / 2, from A(0, .) = (1, 0, ...).  The
+    halving is asserted exact.
+    """
+    row = [1] + [0] * (width - 1)
+    yield row
+    for m in range(0, m_min, -1):
+        before = [0, 0]  # two zeros ahead of k = 0 stand for A(m-1, -1) and A(m-1, -2)
+        for k in range(width):
+            twice = (4 * m - 3 * k + 1) * before[-1] + (2 * m - k + 1) * (m - k + 1) * before[-2]
+            assert not twice & 1, (m, k)
+            before.append(row[k] - (twice >> 1))
+        row = before[2:]
         yield row
 
 

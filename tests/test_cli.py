@@ -15,7 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from chesscount import anassa_quasipolynomial, bishop_quasipolynomial, cli, count_table
+from chesscount import (
+    anassa_quasipolynomial,
+    anassas_split,
+    bishop_quasipolynomial,
+    cli,
+    commands,
+    count,
+    count_table,
+    effective_period,
+)
 from helpers import read_bfile
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +101,61 @@ def test_argv_stays_capped_after_a_call(capsys):
     capsys.readouterr()
 
 
+def _dumps_uncapped(payload):
+    """``json.dumps(payload)``, with the int-to-text cap lifted for counts past 4,300 digits."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.parametrize(
+    "piece, m, k, below",
+    [
+        ("bishop", 8, 2, None),
+        ("anassa", 8, 3, None),
+        ("anassa", 4, 2, 2),
+        ("anassa", 8, 3, 1),
+        ("bishop", -3, 4, None),
+        ("anassa", -5, 4, None),
+        ("anassa", -2, 3, 1),
+        ("anassa", -1, 1700, None),  # 1700!, past the cap; as in the test above
+    ],
+)
+def test_count_json_is_the_bytes_of_json_dumps(piece, m, k, below, capsys):
+    argv = ["count", piece, str(m), str(k), "--format", "json"]
+    payload = {"piece": piece, "m": m, "k": k}
+    if below is None:
+        payload["count"] = count(piece, m, k)
+    else:
+        argv += ["--below", str(below)]
+        payload["below"] = below
+        payload["count"] = anassas_split(m, k, below)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == _dumps_uncapped(payload) + "\n"
+
+
+@pytest.mark.parametrize("piece", ["bishop", "anassa"])
+def test_coeffs_json_is_the_bytes_of_json_dumps(piece, capsys):
+    # k = 0..6 holds negative, whole-number and zero coefficients, and both periods.
+    quasipolynomial = bishop_quasipolynomial if piece == "bishop" else anassa_quasipolynomial
+    for k in range(7):
+        assert cli.main(["coeffs", piece, str(k), "--format", "json"]) == 0
+        coeffs = quasipolynomial(k).coeffs
+        period = effective_period(coeffs)
+        payload = {
+            "piece": piece,
+            "k": k,
+            "period": period,
+            "coeffs": [[f"{c.numerator}/{c.denominator}" for c in vec] for vec in coeffs[:period]],
+        }
+        assert capsys.readouterr().out == json.dumps(payload) + "\n", k
+
+
 # --- table ---
 
 
@@ -159,8 +223,8 @@ def test_table_writes_stdout_once_per_row(monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "bfile", "json"])
 def test_bfile_table_peaks_below_the_size_of_its_file(tmp_path, fmt):
     # Each row is made, formatted and written before the next, so neither
-    # the table nor the output is ever held whole.  ``formulas`` and
-    # ``json`` are loaded already, so their imports are not traced.
+    # the table nor the output is ever held whole.  ``rows`` and ``commands``
+    # are loaded already, so their imports are not traced.
     path = tmp_path / "anassa.txt"
     tracemalloc.start()
     try:
@@ -454,7 +518,7 @@ def argparse_fields(parser, argv):
 
 
 def test_reader_reads_every_benchmark_request_as_argparse_does():
-    parser = cli.build_parser()
+    parser = commands.build_parser()
     pins = json.loads((ROOT / "bench" / "pins.json").read_text())["pins"]
     for line in pins:
         request = cli._read(line.split())
@@ -493,7 +557,7 @@ def test_reader_reads_plain_argv_as_argparse_does_and_declines_the_rest(argv, re
     if not read:
         assert request is None
     else:
-        assert vars(request) == argparse_fields(cli.build_parser(), argv)
+        assert vars(request) == argparse_fields(commands.build_parser(), argv)
 
 
 # --- imports: each subcommand loads only the layers it runs ---
@@ -555,6 +619,54 @@ def test_verify_loads_only_the_layers_its_suite_uses(argv, unwanted):
     loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
     assert loaded & (unwanted | FRONT_END) == set()
     assert "chesscount.verify" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "bishop", "8", "2"],
+        ["count", "bishop", "8", "2", "--format", "json"],
+        ["count", "anassa", "8", "3", "--below", "1"],
+        ["count", "anassa", "8", "3", "--below", "1", "--format", "json"],
+    ],
+)
+def test_count_loads_no_recurrence_no_other_handler_and_no_json(argv):
+    loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
+    assert loaded & {"chesscount.rows", "chesscount.commands", "json"} == set()
+    assert "chesscount.formulas" in loaded
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "bfile", "json"])
+def test_table_loads_no_closed_form_and_no_json(fmt):
+    runs = [["table", piece, "6", "--format", fmt] for piece in ("bishop", "anassa")]
+    loaded = modules_after(f"from chesscount import cli\nfor argv in {runs!r}: cli.main(argv)")
+    assert loaded & {"chesscount.formulas", "json"} == set()
+    assert {"chesscount.rows", "chesscount.commands"} <= loaded
+
+
+def test_coeffs_json_loads_no_json():
+    loaded = modules_after(
+        "from chesscount import cli\ncli.main(['coeffs', 'anassa', '3', '--format', 'json'])"
+    )
+    assert "json" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["verify", "oracle", "--m-max", "4"], {"verify", "formulas", "rows", "kernel", "board"}),
+        (["verify", "collapse", "--m-max", "4"], {"verify", "formulas", "kernel", "board"}),
+    ],
+)
+def test_board_suites_load_their_layers_and_nothing_else(argv, layers):
+    # Exactly the package modules the suite reads, and no module beyond what
+    # importing them loads: the suites themselves import nothing more.
+    package = {"cli", "commands", *layers}
+    loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
+    assert {name for name in loaded if name.startswith("chesscount.")} == {
+        f"chesscount.{name}" for name in package
+    }
+    assert loaded == modules_after("\n".join(f"import chesscount.{name}" for name in package))
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -629,7 +741,7 @@ def test_verify_output_is_frozen(capsys):
 
 @pytest.mark.parametrize("route", ["white_rooks_alt", "black_rooks_alt"])
 def test_verify_reports_failures(monkeypatch, capsys, route):
-    monkeypatch.setattr(f"chesscount.formulas.{route}", lambda m, k: -7)
+    monkeypatch.setattr(f"chesscount.rows.{route}", lambda m, k: -7)
     assert cli.main(["verify", "identities", "--m-max", "4", "--k-max", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  bishop counts: three routes agree" in out

@@ -28,6 +28,7 @@ from chesscount import (
     white_rooks,
     white_rooks_alt,
 )
+from helpers import anassa_rows_backward, rook_rows_backward
 
 # --- one-color rook counts ---
 
@@ -64,6 +65,18 @@ def test_rook_rows_reach_deep_boards():
         for k in range(5):
             want = sum(c * m**d for d, c in enumerate(rooks[k][i].coeffs[m % 2]))
             assert last[k] == want, (color, k)
+
+
+def test_rook_recurrence_run_backward_meets_the_closed_forms_at_negative_sizes():
+    # The closed forms reach negative m through the extended Stirling table;
+    # the backward recurrence shares no arithmetic with them.
+    for white, closed in ((True, white_rooks), (False, black_rooks)):
+        sizes = 0
+        for i, row in enumerate(rook_rows_backward(-30, 13, white)):
+            for k, value in enumerate(row):
+                assert value == closed(-i, k), (closed.__name__, -i, k)
+            sizes += 1
+        assert sizes == 31
 
 
 def test_alternating_routes_match_closed_forms():
@@ -214,6 +227,16 @@ def test_anassa_rows_match_closed_form():
         assert last[k] == anassas(300, k), k
 
 
+def test_anassa_recurrence_run_backward_meets_the_closed_form_at_negative_sizes():
+    # The backward step halves, and the helper asserts that each halving is exact.
+    sizes = 0
+    for i, row in enumerate(anassa_rows_backward(-30, 13)):
+        for k, value in enumerate(row):
+            assert value == anassas(-i, k), (-i, k)
+        sizes += 1
+    assert sizes == 31
+
+
 def test_anassa_counts_vanish_beyond_feasibility():
     for m in range(9):
         for k in range(m + 1, m + 4):
@@ -316,7 +339,7 @@ def test_anassa_table_does_not_build_split_triangles(monkeypatch):
     def refuse(m_max):
         raise AssertionError("count_table summed the split triangles")
 
-    monkeypatch.setattr(formulas, "anassa_split_rows", refuse)
+    monkeypatch.setattr("chesscount.rows.anassa_split_rows", refuse)
     *_, last = count_table("anassa", 30)
     assert last == tuple(anassas(30, k) for k in range(31))
     assert list(count_table("anassa", 30, rect=True))[2] == (1, 4, 3) + (0,) * 28

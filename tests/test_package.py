@@ -9,7 +9,7 @@ import pytest
 import chesscount
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SUBMODULES = ("board", "formulas", "kernel", "quasipoly")
+SUBMODULES = ("board", "formulas", "kernel", "quasipoly", "rows")
 
 
 def test_every_public_name_is_its_submodules_object():

@@ -28,6 +28,7 @@ from chesscount import kernel, quasipoly
 from helpers import (
     anassa_rows_cut,
     binomial_basis_to_monomials,
+    class_value,
     interpolate,
     polyval,
     rook_rows_cut,
@@ -242,6 +243,25 @@ def test_quasipolynomials_match_the_row_recurrences_at_large_m():
             assert anassa_qp.evaluate(m) == anassa[k], m
             checked += 1
     assert checked == len(sizes)
+
+
+def test_class_vectors_equal_the_closed_forms_at_negative_board_sizes():
+    # ``verify coeffs`` meets each class at 0 <= m <= 2k + 6 only, fewer points
+    # than a degree-2k class needs from k = 3 on.  The closed forms are
+    # defined at every integer m, and the 2k + 6 negative sizes below raise
+    # each class to at least 2k + 6 points.  ``evaluate`` refuses m < 0, so
+    # the vectors are evaluated here directly.
+    for k in range(21):
+        white, black, bishop = rook_and_bishop_quasipolynomials(k)
+        families = [
+            (white, white_rooks),
+            (black, black_rooks),
+            (bishop, bishops),
+            (anassa_quasipolynomial(k), anassas),
+        ]
+        for qp, closed in families:
+            for m in range(-(2 * k + 6), 0):
+                assert class_value(qp.coeffs, m) == closed(m, k), (closed.__name__, k, m)
 
 
 def test_bishop_coeffs_leading_term():
