@@ -55,51 +55,50 @@ def square_board(m: int) -> frozenset[Square]:
     return frozenset((c, r) for c in range(1, m + 1) for r in range(1, m + 1))
 
 
-def placement_profile(board: frozenset[Square], moves: MoveSet) -> dict[tuple[int, int], int]:
-    """Nonattacking placement counts on ``board``, keyed by (size, below).
+def placement_profile(
+    board: frozenset[Square], moves: MoveSet, marked: frozenset[Square]
+) -> dict[tuple[int, int], int]:
+    """Nonattacking placement counts on ``board``, keyed by (size, pieces on ``marked``).
 
-    ``below`` is the number of occupied squares strictly below the main
-    diagonal (row < column).  A piece holds at most one piece on each line of
-    either family, so a placement is a matching between the two families.
-    The search steps over the lines of the larger family, longest first; its
-    state is the set of lines used in the other family, and a line leaves the
-    state once no later step touches it.
+    A piece holds at most one piece on each line of either family, so a
+    placement is a matching between the two families.  The search steps over
+    the lines of the larger family, longest first; its state is the set of
+    lines used in the other family, and a line leaves the state once no later
+    step touches it.  Each partial count is keyed by one integer, size +
+    (len(board) + 1) * (pieces on ``marked``), so an empty ``marked`` keys by size.
     Nothing is cached: a caller that reads a board twice keeps the result.
     """
-    squares = list(board)
-    keys = [moves.line_keys(sq) for sq in squares]
-    if len({b for _, b in keys}) > len({a for a, _ in keys}):
-        keys = [(b, a) for a, b in keys]
+    base = len(board) + 1
+    keys = [(*moves.line_keys(sq), 1 + base * (sq in marked)) for sq in board]
+    if len({b for _, b, _ in keys}) > len({a for a, _, _ in keys}):
+        keys = [(b, a, gain) for a, b, gain in keys]
     lines: dict[int, list[tuple[int, int]]] = defaultdict(list)
     bits: dict[int, int] = {}
-    for (c, r), (step, other) in zip(squares, keys):
-        lines[step].append((bits.setdefault(other, 1 << len(bits)), int(r < c)))
+    for step, other, gain in keys:
+        lines[step].append((bits.setdefault(other, 1 << len(bits)), gain))
     order = sorted(lines.values(), key=len, reverse=True)
     last = {b: i for i, line in enumerate(order) for b, _ in line}
-    states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
     for i, line in enumerate(order):
         keep = sum(b for b, j in last.items() if j > i)
-        grown: dict[int, dict[tuple[int, int], int]] = defaultdict(lambda: defaultdict(int))
+        grown: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
         for used, poly in states.items():
-            for b, ds, db in [(0, 0, 0)] + [(b, 1, under) for b, under in line if not used & b]:
+            for b, gain in [(0, 0)] + [(b, gain) for b, gain in line if not used & b]:
                 target = grown[(used | b) & keep]
-                for (size, below), n in poly.items():
-                    target[size + ds, below + db] += n
+                for key, n in poly.items():
+                    target[key + gain] += n
         states = grown
-    return dict(states[0])
+    return {(key % base, key // base): n for key, n in states[0].items()}
 
 
 def placement_counts(board: frozenset[Square], moves: MoveSet) -> tuple[int, ...]:
     """Counts of nonattacking placements on ``board`` by size.
 
     Entry j is the number of j-piece placements; the tuple stops at the
-    largest feasible size.
+    largest feasible size, and every smaller size is feasible too.
     """
-    profile = placement_profile(board, moves)
-    counts = [0] * (max(size for size, _ in profile) + 1)
-    for (size, _), n in profile.items():
-        counts[size] += n
-    return tuple(counts)
+    profile = placement_profile(board, moves, frozenset())
+    return tuple(profile[size, 0] for size in range(len(profile)))
 
 
 def bishop_color_board(m: int, color: str) -> frozenset[Square]:

@@ -72,15 +72,16 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
         white, black = (bishop_color_board(m, c) for c in ("white", "black"))
         boards = dict.fromkeys((board, white, black))
         bishop = {b: placement_counts(b, BISHOP_MOVES) for b in boards}
-        below = placement_profile(board, ANASSA_MOVES)
+        below_diagonal = frozenset((c, r) for c, r in board if r < c)
+        below = placement_profile(board, ANASSA_MOVES, below_diagonal)
         anassa = [0] * (m + 1)
         for (k, _), n in below.items():
             anassa[k] += n
         counts = {"bishop": bishop[board], "anassa": anassa}
-        for piece in PIECES:
+        for piece, route in (("bishop", formulas.bishops), ("anassa", formulas.anassas)):
             for k in range(rows.max_pieces(piece, m) + _PAST_MAX + 1):
                 closed[piece].compare(
-                    f"{piece} m={m} k={k}", formulas.count(piece, m, k), _at(counts[piece], k)
+                    f"{piece} m={m} k={k}", route(m, k), _at(counts[piece], k)
                 )
         for k in range(m + 1):
             for p in range(k + 2):

@@ -8,8 +8,8 @@ from chesscount.verify import run_suite
 # as the tests that once repeated its groups, so every point they checked is
 # still checked.
 SUITE_BOUNDS = {
-    "oracle": {"m_max": 10},
-    "collapse": {"m_max": 10},
+    "oracle": {"m_max": 11},
+    "collapse": {"m_max": 11},
     "identities": {"m_max": 20, "k_max": 10},
     "coeffs": {"k_max": 5},
 }

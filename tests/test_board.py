@@ -193,22 +193,24 @@ def test_bishop_counts_factor_over_colors():
             assert split == _at(board, k), (m, k)
 
 
-# --- diagonal split for the anassa ---
+# --- split on marked squares ---
 
 
-def _below(m, k, p):
-    return placement_profile(square_board(m), ANASSA_MOVES).get((k, p), 0)
+def _below_split(m):
+    """The anassa split of the m x m board: placements keyed by (size, pieces below the diagonal)."""
+    board = square_board(m)
+    return placement_profile(board, ANASSA_MOVES, frozenset((c, r) for c, r in board if r < c))
 
 
 def test_below_diagonal_frozen_values():
-    assert _below(3, 1, 0) == 6
-    assert _below(3, 1, 1) == 3
-    assert _below(4, 2, 2) == 7
+    assert _below_split(3).get((1, 0), 0) == 6
+    assert _below_split(3).get((1, 1), 0) == 3
+    assert _below_split(4).get((2, 2), 0) == 7
 
 
 def test_below_diagonal_sums_to_total():
     for m in range(6):
-        profile = placement_profile(square_board(m), ANASSA_MOVES)
+        profile = _below_split(m)
         counts = placement_counts(square_board(m), ANASSA_MOVES)
         for k in range(m + 1):
             total = sum(profile.get((k, p), 0) for p in range(k + 1))
@@ -219,7 +221,7 @@ def test_below_diagonal_sums_to_total():
 def test_below_diagonal_matches_subset_filtering():
     for m in range(5):
         squares = sorted(square_board(m))
-        profile = placement_profile(square_board(m), ANASSA_MOVES)
+        profile = _below_split(m)
         for k in range(m + 2):
             split = [0] * (k + 2)
             for combo in itertools.combinations(squares, k):
@@ -230,6 +232,31 @@ def test_below_diagonal_matches_subset_filtering():
                     split[sum(r < c for c, r in combo)] += 1
             for p, want in enumerate(split):
                 assert profile.get((k, p), 0) == want, (m, k, p)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_split_on_any_marked_subset_matches_subset_filtering(data):
+    # The search knows no rule about the squares it splits on: any subset of
+    # an irregular board, read against raw subsets and the pairwise attack test.
+    board = data.draw(st.frozensets(st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    marked = data.draw(st.frozensets(st.sampled_from(sorted(board)))) if board else frozenset()
+    for moves in (BISHOP_MOVES, ANASSA_MOVES):
+        want = {}
+        for k in range(len(board) + 1):
+            for combo in itertools.combinations(sorted(board), k):
+                if all(not attacks(a, b, moves.moves) for a, b in itertools.combinations(combo, 2)):
+                    key = (k, len(marked.intersection(combo)))
+                    want[key] = want.get(key, 0) + 1
+        assert placement_profile(board, moves, marked) == want, (sorted(board), sorted(marked))
+
+
+def test_unmarked_search_keys_by_size_alone():
+    for m in range(6):
+        for moves in (BISHOP_MOVES, ANASSA_MOVES):
+            profile = placement_profile(square_board(m), moves, frozenset())
+            counts = placement_counts(square_board(m), moves)
+            assert profile == {(k, 0): n for k, n in enumerate(counts)}, (m, moves)
 
 
 # --- inductive subsets and board collapse ---

@@ -26,11 +26,13 @@ from chesscount import (
 )
 from chesscount import kernel, quasipoly
 from helpers import (
+    anassa_rows_backward,
     anassa_rows_cut,
     binomial_basis_to_monomials,
     class_value,
     interpolate,
     polyval,
+    rook_rows_backward,
     rook_rows_cut,
 )
 
@@ -250,8 +252,9 @@ def test_class_vectors_equal_the_closed_forms_at_negative_board_sizes():
     # than a degree-2k class needs from k = 3 on.  The closed forms are
     # defined at every integer m, and the 2k + 6 negative sizes below raise
     # each class to at least 2k + 6 points.  ``evaluate`` refuses m < 0, so
-    # the vectors are evaluated here directly.
-    for k in range(21):
+    # the vectors are evaluated here directly.  The cost grows about as k^4,
+    # so past k = 20 only k = 40 runs.
+    for k in (*range(21), 40):
         white, black, bishop = rook_and_bishop_quasipolynomials(k)
         families = [
             (white, white_rooks),
@@ -262,6 +265,23 @@ def test_class_vectors_equal_the_closed_forms_at_negative_board_sizes():
         for qp, closed in families:
             for m in range(-(2 * k + 6), 0):
                 assert class_value(qp.coeffs, m) == closed(m, k), (closed.__name__, k, m)
+
+
+def test_class_vectors_equal_the_backward_recurrences_at_negative_board_sizes():
+    # The backward recurrences use no Stirling number and no closed form, so
+    # they meet every class vector from a side that shares no arithmetic with it.
+    white_rows, black_rows = (list(rook_rows_backward(-30, 13, white)) for white in (True, False))
+    anassa_rows = list(anassa_rows_backward(-30, 13))
+    for k in range(13):
+        white, black, bishop = rook_and_bishop_quasipolynomials(k)
+        anassa = anassa_quasipolynomial(k)
+        for i, (w, b, a) in enumerate(zip(white_rows, black_rows, anassa_rows)):
+            assert class_value(white.coeffs, -i) == w[k], ("white", k, -i)
+            assert class_value(black.coeffs, -i) == b[k], ("black", k, -i)
+            product = sum(b[j] * w[k - j] for j in range(k + 1))
+            assert class_value(bishop.coeffs, -i) == product, ("bishop", k, -i)
+            assert class_value(anassa.coeffs, -i) == a[k], ("anassa", k, -i)
+    assert len(anassa_rows) == 31
 
 
 def test_bishop_coeffs_leading_term():

@@ -121,13 +121,14 @@ def test_duality_compares_against_the_rising_factorial(monkeypatch):
 
 
 def _searches(monkeypatch):
-    # Every board search, as its (board, moves) pair; nothing caches them.
+    # Every board search, as its (board, moves) pair whatever squares it
+    # splits on; nothing caches them.
     calls = []
     search = board.placement_profile
 
-    def counted(board_, moves):
+    def counted(board_, moves, marked):
         calls.append((board_, moves))
-        return search(board_, moves)
+        return search(board_, moves, marked)
 
     monkeypatch.setattr(board, "placement_profile", counted)
     return calls
@@ -162,6 +163,17 @@ def test_oracle_builds_each_square_board_once_per_reader(monkeypatch):
     monkeypatch.setattr(board, "square_board", counted)
     assert all(r.ok for r in suite_oracle(10))
     assert sizes == list(range(11))
+
+
+def test_oracle_compares_the_named_closed_forms(monkeypatch):
+    # "closed form vs brute force" stays true whatever route ``count`` takes.
+    def refuse(piece, m, k):
+        raise AssertionError("suite_oracle called formulas.count")
+
+    monkeypatch.setattr(formulas, "count", refuse)
+    results = suite_oracle(5)
+    assert all(r.ok for r in results)
+    assert [r.checks for r in results] == [39, 33, 77, 27]
 
 
 def test_oracle_groups_stay_apart(monkeypatch):
