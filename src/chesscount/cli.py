@@ -9,10 +9,11 @@ verification or I/O failure (stdout included), 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
 
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
-plain form from it directly.  This module holds what a ``count`` runs; the
-other subcommands and the argparse parser, which reads every other argv,
-live in :mod:`chesscount.commands`, which ``main`` imports only for them, so
-a count compiles neither, and argparse loads only for help and usage errors.
+plain form from it directly.  This module holds what a ``count`` runs.
+``main`` imports :mod:`chesscount.verify` only for ``verify``, and
+:mod:`chesscount.commands`, with the other handlers and the argparse parser
+that reads every other argv, only for them, so argparse loads only for help
+and usage errors.
 ``run`` is the process entry: ``python -m chesscount`` and the installed
 ``chesscount`` script both call it.
 """
@@ -196,13 +197,18 @@ def cmd_count(args: SimpleNamespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
-    handler = cmd_count
-    if args is None or args.command != "count":
-        from . import commands  # the other subcommands, and argparse for any other argv
+    if args is None:
+        from .commands import _parse  # argparse, for help, usage errors and any other argv
 
-        if args is None:
-            args = commands._parse(argv)
-        handler = commands.HANDLERS.get(args.command, cmd_count)  # argparse reads counts too
+        args = _parse(argv)
+    if args.command == "count":
+        handler = cmd_count
+    elif args.command == "verify":
+        from .verify import _cmd_verify as handler
+    else:
+        from .commands import HANDLERS
+
+        handler = HANDLERS[args.command]
     # Counts may pass the default cap on printing long integers.  It is lifted
     # only while the handler runs, so argv, here and in later calls, keeps it.
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

@@ -1,9 +1,10 @@
-"""The subcommands other than ``count``, and the argparse parser.
+"""The ``table`` and ``coeffs`` subcommands, and the argparse parser.
 
-:mod:`chesscount.cli` imports this module only for ``table``, ``coeffs``
-and ``verify``, and for every argv it does not read itself: help, usage
-errors, and the refusals it reports with a subcommand's usage.  So a
-``count`` compiles none of it.
+:mod:`chesscount.cli` imports this module only for ``table`` and
+``coeffs``, and for every argv it does not read itself: help, usage errors,
+and the refusals it reports with a subcommand's usage.  So a ``count`` or a
+``verify`` compiles none of it; ``verify``'s handler is in
+:mod:`chesscount.verify`.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
@@ -103,30 +104,4 @@ def cmd_coeffs(args: SimpleNamespace) -> int:
     return _emit((sep.join(map(str, vec)) + "\n" for vec in vectors), args.out)
 
 
-def cmd_verify(args: SimpleNamespace) -> int:
-    from . import verify
-
-    try:
-        verify.check_bounds(args.suite, args.m_max, args.k_max)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    results = verify.run_suite(args.suite, m_max=args.m_max, k_max=args.k_max)
-    lines = []
-    total_checks = sum(r.checks for r in results)
-    total_failures = sum(len(r.failures) for r in results)
-    for r in results:
-        if r.ok:
-            lines.append(f"ok    {r.name} ({r.checks} checks)")
-        else:
-            lines.append(f"FAIL  {r.name} ({r.checks} checks, {len(r.failures)} failed)")
-            lines.extend(f"      {failure}" for failure in r.failures or ["no checks"])
-    lines.append(
-        f"summary: {len(results)} check groups, {total_checks} checks, {total_failures} failures"
-    )
-    status = _emit(["\n".join(lines) + "\n"], args.out)
-    if status:
-        return status
-    return 0 if all(r.ok for r in results) else 1
-
-
-HANDLERS = {"table": cmd_table, "coeffs": cmd_coeffs, "verify": cmd_verify}
+HANDLERS = {"table": cmd_table, "coeffs": cmd_coeffs}

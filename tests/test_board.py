@@ -17,7 +17,7 @@ from chesscount import (
     square_board,
 )
 from chesscount import board as board_module
-from chesscount.verify import suite_collapse
+from chesscount.verify_board import suite_collapse
 from helpers import attacks
 
 

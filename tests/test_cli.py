@@ -654,19 +654,49 @@ def test_coeffs_json_loads_no_json():
 @pytest.mark.parametrize(
     "argv, layers",
     [
-        (["verify", "oracle", "--m-max", "4"], {"verify", "formulas", "rows", "kernel", "board"}),
-        (["verify", "collapse", "--m-max", "4"], {"verify", "formulas", "kernel", "board"}),
+        (
+            ["verify", "oracle", "--m-max", "4"],
+            {"verify_board", "formulas", "rows", "kernel", "board"},
+        ),
+        (["verify", "collapse", "--m-max", "4"], {"verify_board", "board"}),
+        (
+            ["verify", "identities", "--m-max", "2", "--k-max", "1"],
+            {"verify_identities", "formulas", "rows", "kernel"},
+        ),
+        (
+            ["verify", "coeffs", "--k-max", "2"],
+            {"verify_coeffs", "formulas", "quasipoly", "kernel"},
+        ),
+        (
+            ["verify", "all", "--k-max", "2"],
+            {
+                "verify_board", "verify_identities", "verify_coeffs",
+                "formulas", "rows", "kernel", "board", "quasipoly",
+            },
+        ),
     ],
 )
 def test_board_suites_load_their_layers_and_nothing_else(argv, layers):
     # Exactly the package modules the suite reads, and no module beyond what
-    # importing them loads: the suites themselves import nothing more.
-    package = {"cli", "commands", *layers}
+    # importing them loads: the suites themselves import nothing more.  A
+    # request in plain form loads neither ``commands`` nor argparse, and no
+    # suite module it does not run.
+    package = {"cli", "verify", *layers}
     loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
     assert {name for name in loaded if name.startswith("chesscount.")} == {
         f"chesscount.{name}" for name in package
     }
     assert loaded == modules_after("\n".join(f"import chesscount.{name}" for name in package))
+
+
+def test_check_bounds_refuses_an_unknown_suite_before_loading_one():
+    loaded = modules_after(
+        "from chesscount import verify\n"
+        "try:\n    verify.check_bounds('everything', m_max=3)\n"
+        "except ValueError as exc:\n    assert 'unknown suite' in str(exc)\n"
+        "else:\n    raise AssertionError('accepted')"
+    )
+    assert {name for name in loaded if name.startswith("chesscount.")} == {"chesscount.verify"}
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -6,12 +6,21 @@ failed, checked nothing, or its suite raised.
 """
 
 import ast
+import importlib
+import inspect
 import re
+from pathlib import Path
 
 import pytest
 
-from chesscount import board, formulas, kernel, quasipoly, verify
-from chesscount.verify import SUITES, suite_coeffs, suite_identities, suite_oracle
+from chesscount import board, formulas, kernel, quasipoly, verify, verify_identities
+from chesscount.verify import SUITES
+from chesscount.verify_board import suite_oracle
+from chesscount.verify_coeffs import suite_coeffs
+from chesscount.verify_identities import suite_identities
+
+# The runner and every suite module: ``verify.py`` and its ``verify_*.py`` siblings.
+VERIFY_FILES = sorted(Path(verify.__file__).parent.glob("verify*.py"))
 
 GROUPS = [
     ("oracle", "bishop closed form vs brute force"),
@@ -62,13 +71,13 @@ def test_basis_change_identity_catches_a_wrong_row(monkeypatch):
         return next(r for r in results if r.name == "binomial basis change identity")
 
     assert group().ok
-    rows = verify._basis_change_rows
+    rows = verify_identities._basis_change_rows
 
     def one_entry_off(q, z, p_max):
         for p, row in enumerate(rows(q, z, p_max)):
             yield [w + 1 if (p, q, z, i) == (3, 2, 1, 2) else w for i, w in enumerate(row)]
 
-    monkeypatch.setattr(verify, "_basis_change_rows", one_entry_off)
+    monkeypatch.setattr(verify_identities, "_basis_change_rows", one_entry_off)
     broken = group()
     assert broken.checks == 825
     assert broken.failures and all(f.startswith("p=3 q=2 z=1 ") for f in broken.failures)
@@ -88,21 +97,49 @@ def test_coeffs_suite_builds_each_rook_vector_once(monkeypatch):
 
 
 def test_verify_reads_no_private_quasipoly_name():
-    with open(verify.__file__, encoding="utf-8") as handle:
-        assert "quasipoly._" not in handle.read()
+    for path in VERIFY_FILES:
+        assert "quasipoly._" not in path.read_text(encoding="utf-8")
 
 
 def test_verify_reads_no_private_board_name():
-    with open(verify.__file__, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in VERIFY_FILES]
     names = [
         alias.name
+        for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "board"
         for alias in node.names
     ]
     assert "placement_profile" in names
     assert not [name for name in names if name.startswith("_")]
+
+
+def test_verify_files_are_the_runner_and_its_suite_modules():
+    assert [path.stem for path in VERIFY_FILES] == sorted({"verify", *SUITES.values()})
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_check_bounds_accepts_exactly_the_suites_parameters(suite):
+    # The registry names a module, not the bounds: they are read from the
+    # suite function's parameters, so the two cannot drift apart.
+    module = importlib.import_module(f"chesscount.{SUITES[suite]}")
+    parameters = set(inspect.signature(getattr(module, f"suite_{suite}")).parameters)
+    for bound in ("m_max", "k_max"):
+        if bound in parameters:
+            verify.check_bounds(suite, **{bound: 1})
+        else:
+            with pytest.raises(ValueError, match=f"takes no {bound}"):
+                verify.check_bounds(suite, **{bound: 1})
+
+
+def test_every_suite_function_is_registered():
+    defined = {
+        name[len("suite_"):]
+        for module in set(SUITES.values())
+        for name in vars(importlib.import_module(f"chesscount.{module}"))
+        if name.startswith("suite_")
+    }
+    assert defined == set(SUITES)
 
 
 def test_duality_compares_against_the_rising_factorial(monkeypatch):
