@@ -168,10 +168,6 @@ def _json(value: object) -> str:
     return f'"{value}"'
 
 
-def _emit_json(payload: dict, out: str | None) -> int:
-    return _emit([_json(payload) + "\n"], out)
-
-
 def cmd_count(args: SimpleNamespace) -> int:
     from . import formulas
 
@@ -190,7 +186,7 @@ def cmd_count(args: SimpleNamespace) -> int:
         if args.below is not None:
             payload["below"] = args.below
         payload["count"] = value
-        return _emit_json(payload, args.out)
+        return _emit([_json(payload) + "\n"], args.out)
     return _emit([f"{value}\n"], args.out)
 
 

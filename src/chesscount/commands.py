@@ -10,7 +10,7 @@ and the refusals it reports with a subcommand's usage.  So a ``count`` or a
 from collections.abc import Iterable, Iterator, Sequence
 from types import SimpleNamespace
 
-from .cli import GRAMMAR, _emit, _emit_json, _json, _UsageError
+from .cli import GRAMMAR, _emit, _json, _UsageError
 
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
 
@@ -99,7 +99,7 @@ def cmd_coeffs(args: SimpleNamespace) -> int:
             "period": period,
             "coeffs": [[f"{c.numerator}/{c.denominator}" for c in vec] for vec in vectors],
         }
-        return _emit_json(payload, args.out)
+        return _emit([_json(payload) + "\n"], args.out)
     sep = _SEPARATORS[args.format]
     return _emit((sep.join(map(str, vec)) + "\n" for vec in vectors), args.out)
 

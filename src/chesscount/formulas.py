@@ -78,23 +78,19 @@ def anassas_split(m: int, k: int, p: int) -> int:
 def anassas(m: int, k: int) -> int:
     """Nonattacking k-anassa placements on the m x m board, closed form.
 
-    Sum over j <= ceil(k/2) of (m-k+j)_j * S(m, m-k+j) * 2^(k-2j)
-    * (C(k-j, j-1) + C(k-j+1, j)).  For odd k the top summand carries
-    2^(-1) against an even cofactor, so the sum runs over twice each summand,
-    in integers, with an evenness check at the end.  Defined for every
-    integer m.
+    Sum over j <= ceil(k/2) of (m-k+j)_j * S(m, m-k+j) * w(k, j), with the
+    weight w(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)).  The weight is
+    an integer: 2^(-1) arises only at odd k and j = (k+1)/2, where the
+    bracket is 1 + 1.  Defined for every integer m.
     """
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
-    twice = 0
+    total = 0
     # For m >= 0, S(m, m-k+j) vanishes for j < k - m.
     for j in range(max(0, k - m) if m >= 0 else 0, (k + 1) // 2 + 1):
-        weight = binomial(k - j, j - 1) + binomial(k - j + 1, j)
-        body = falling_factorial(m - k + j, j) * stirling2(m, m - k + j) * weight
-        twice += body << (k - 2 * j + 1)
-    total, odd = divmod(twice, 2)
-    if odd:
-        raise ArithmeticError(f"anassa count for m={m}, k={k} came out non-integral: {twice}/2")
+        bracket = binomial(k - j, j - 1) + binomial(k - j + 1, j)
+        weight = (bracket << (k - 2 * j + 1)) >> 1
+        total += falling_factorial(m - k + j, j) * stirling2(m, m - k + j) * weight
     return total
 
 

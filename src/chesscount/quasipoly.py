@@ -55,14 +55,11 @@ def _bishop_from_rooks(
     # Bishop coefficients from the white and black _rook_vectors(k, .) of one
     # parity class.  Split j pairs white vector j, over 4^k (2j)!, with black
     # vector k - j, over 4^k (2k-2j)!; scaled by C(2k, 2j), every product lies
-    # over 16^k (2k)!.  When the two colors' vectors are equal (even m), split
-    # k - j gives the same product as split j, as C(2k, 2j) = C(2k, 2k - 2j),
-    # so each such pair is convolved once and counted twice.
-    same = white == black
-    products = []
-    for j in range(k // 2 + 1 if same else k + 1):
-        weight = math.comb(2 * k, 2 * j) * (2 if same and 2 * j != k else 1)
-        products.append(convolve([weight * c for c in white[j]], black[k - j]))
+    # over 16^k (2k)!.
+    products = [
+        convolve([math.comb(2 * k, 2 * j) * c for c in white[j]], black[k - j])
+        for j in range(k + 1)
+    ]
     den = 16**k * math.factorial(2 * k)
     return [Fraction(sum(column), den) for column in zip(*products)]
 
@@ -72,29 +69,26 @@ def anassa_coeffs(k: int) -> list[Fraction]:
 
     Weight of C(m, i) is sum over j of alpha(k, j) * sum over p of
     A(p+k-j, p) * sum over b of C(p,b) C(k, j-b) C(b, k+p-i), where
-    alpha(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)) * j!.  Twice each
-    weight is an integer, since k - 2j >= -1, so the weights are summed
-    doubled.  Each (j, p, b) term is added once into every i = k+p-c it
-    reaches, with weight C(b, c) for c = 0..b.
+    alpha(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)) * j! is an integer
+    (2^(-1) arises only at odd k and j = (k+1)/2, where the bracket is 2).
+    With c = k+p-i, Vandermonde's identity folds the sum over b into
+    C(p, c) * C(p-c+k, j-c), so each (j, p) term is added once into every
+    i it reaches, for c = 0..min(p, j).
     """
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
-    twice = [0] * (2 * k + 1)
+    weights = [0] * (2 * k + 1)
     for j in range((k + 1) // 2 + 1):
         bracket = binomial(k - j, j - 1) + binomial(k - j + 1, j)
-        if not bracket:
-            continue
-        alpha2 = 2 ** (k - 2 * j + 1) * bracket * math.factorial(j)
+        alpha = ((bracket << (k - 2 * j + 1)) >> 1) * math.factorial(j)
         for p in range(k - j + 1):
-            block = alpha2 * assoc_stirling2(p + k - j, p)
+            block = alpha * assoc_stirling2(p + k - j, p)
             if not block:
                 continue
-            for b in range(min(p, j) + 1):
-                term = block * math.comb(p, b) * math.comb(k, j - b)
-                for c in range(b + 1):
-                    twice[k + p - c] += term * math.comb(b, c)
-    den = 2 * math.factorial(2 * k)
-    return [Fraction(t, den) for t in _monomial_numerators(twice)]
+            for c in range(min(p, j) + 1):
+                weights[k + p - c] += block * math.comb(p, c) * math.comb(p - c + k, j - c)
+    den = math.factorial(2 * k)
+    return [Fraction(t, den) for t in _monomial_numerators(weights)]
 
 
 class QuasiPolynomial(namedtuple("QuasiPolynomial", "coeffs")):

@@ -577,132 +577,103 @@ def modules_after(code):
     return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
 
-# A request in plain form is read without argparse, and so without the
-# gettext and locale it imports; nothing in the package starts a thread.
-FRONT_END = {"argparse", "gettext", "locale", "threading"}
+def _request(package, *argv):
+    code = f"from chesscount import cli\ncli.main({list(argv)!r})"
+    return pytest.param(code, package, id="-".join(argv).replace("--", ""))
 
 
-def test_count_and_table_load_no_other_layer_or_heavy_library():
-    runs = [
-        ["count", "bishop", "8", "2"],
-        ["count", "anassa", "8", "3", "--below", "1"],
-        ["table", "bishop", "12", "--format", "bfile"],
-    ]
-    loaded = modules_after(f"from chesscount import cli\nfor argv in {runs!r}: cli.main(argv)")
-    unwanted = {
-        "dataclasses", "inspect", "fractions", "decimal", "json", "typing",
-        "chesscount.board", "chesscount.quasipoly", "chesscount.verify", *FRONT_END,
-    }
+COUNT = {"cli", "formulas", "kernel"}
+TABLE = {"cli", "commands", "rows", "kernel"}
+COEFFS = {"cli", "commands", "quasipoly", "kernel"}
+
+# Each request and exactly the package modules it loads.  A request in plain
+# form loads neither ``commands`` nor argparse, and no layer it does not run.
+# The ``verify`` requests are pinned in ``VERIFY_LAYERS`` below.
+MODULE_SETS = [
+    _request(COUNT, "count", "bishop", "8", "2"),
+    _request(COUNT, "count", "bishop", "8", "2", "--format", "json"),
+    _request(COUNT, "count", "anassa", "8", "3", "--below", "1"),
+    _request(COUNT, "count", "anassa", "8", "3", "--below", "1", "--format", "json"),
+    _request(TABLE, "table", "bishop", "12", "--format", "bfile"),
+    *(
+        _request(TABLE, "table", piece, "6", "--format", fmt)
+        for fmt in ("csv", "tsv", "bfile", "json")
+        for piece in ("bishop", "anassa")
+    ),
+    _request(COEFFS, "coeffs", "bishop", "3"),
+    _request(COEFFS, "coeffs", "anassa", "3", "--format", "json"),
+    pytest.param("import chesscount", set(), id="import-chesscount"),
+    pytest.param(
+        "from chesscount import verify\n"
+        "try:\n    verify.check_bounds('everything', m_max=3)\n"
+        "except ValueError as exc:\n    assert 'unknown suite' in str(exc)\n"
+        "else:\n    raise AssertionError('accepted')",
+        {"verify"},
+        id="check-bounds-unknown-suite",
+    ),
+]
+
+# No request loads these.  A request in plain form is read without argparse,
+# and so without the gettext and locale it imports; nothing in the package
+# starts a thread; the CLI writes its own JSON.
+UNWANTED = {"dataclasses", "inspect", "typing", "json", "argparse", "gettext", "locale", "threading"}
+
+
+def loads_exactly(code, package):
+    """What ``code`` loads, checked to be exactly the ``chesscount`` modules in
+    ``package`` and no module beyond what importing those loads: the code run
+    imports nothing more."""
+    loaded = modules_after(code)
+    modules = {f"chesscount.{name}" for name in package}
+    assert {name for name in loaded if name.startswith("chesscount.")} == modules
+    assert loaded == modules_after("\n".join(["import chesscount", *map("import {}".format, modules)]))
+    return loaded
+
+
+@pytest.mark.parametrize("code, package", MODULE_SETS)
+def test_each_request_loads_exactly_its_layers(code, package):
+    # Fractions and decimals come only with quasipoly.
+    loaded = loads_exactly(code, package)
+    unwanted = UNWANTED if "quasipoly" in package else UNWANTED | {"fractions", "decimal"}
     assert loaded & unwanted == set()
-    assert "chesscount.formulas" in loaded
 
 
-def test_coeffs_loads_no_dataclasses_inspect_or_json():
-    loaded = modules_after("from chesscount import cli\ncli.main(['coeffs', 'bishop', '3'])")
-    assert loaded & {"dataclasses", "inspect", "json", "chesscount.formulas", *FRONT_END} == set()
-    assert "chesscount.quasipoly" in loaded
+# Each ``verify`` request and the suite module and layers it loads besides
+# ``cli`` and ``verify``: no ``commands``, and no suite module it does not run.
+VERIFY_LAYERS = [
+    (["verify", "oracle", "--m-max", "4"], {"verify_board", "formulas", "rows", "kernel", "board"}),
+    (["verify", "collapse", "--m-max", "4"], {"verify_board", "board"}),
+    (
+        ["verify", "identities", "--m-max", "2", "--k-max", "1"],
+        {"verify_identities", "formulas", "rows", "kernel"},
+    ),
+    (["verify", "coeffs", "--k-max", "2"], {"verify_coeffs", "formulas", "quasipoly", "kernel"}),
+    (
+        ["verify", "all", "--k-max", "2"],
+        {
+            "verify_board", "verify_identities", "verify_coeffs",
+            "formulas", "rows", "kernel", "board", "quasipoly",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, layers", VERIFY_LAYERS)
+def test_board_suites_load_their_layers_and_nothing_else(argv, layers):
+    loads_exactly(f"from chesscount import cli\ncli.main({argv!r})", {"cli", "verify", *layers})
 
 
 @pytest.mark.parametrize(
     "argv, unwanted",
     [
-        (["verify", "oracle", "--m-max", "4"], {"chesscount.quasipoly", "fractions", "decimal"}),
-        (["verify", "collapse", "--m-max", "4"], {"chesscount.quasipoly", "fractions", "decimal"}),
-        (
-            ["verify", "identities", "--m-max", "2", "--k-max", "1"],
-            {"chesscount.quasipoly", "fractions", "decimal"},
-        ),
-        (["verify", "coeffs", "--k-max", "2"], {"chesscount.board"}),
+        (argv, set() if "quasipoly" in layers else {"fractions", "decimal"})
+        for argv, layers in VERIFY_LAYERS
     ],
 )
 def test_verify_loads_only_the_layers_its_suite_uses(argv, unwanted):
+    # The libraries no request loads; fractions and decimals come only with quasipoly.
     loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
-    assert loaded & (unwanted | FRONT_END) == set()
-    assert "chesscount.verify" in loaded
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["count", "bishop", "8", "2"],
-        ["count", "bishop", "8", "2", "--format", "json"],
-        ["count", "anassa", "8", "3", "--below", "1"],
-        ["count", "anassa", "8", "3", "--below", "1", "--format", "json"],
-    ],
-)
-def test_count_loads_no_recurrence_no_other_handler_and_no_json(argv):
-    loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
-    assert loaded & {"chesscount.rows", "chesscount.commands", "json"} == set()
-    assert "chesscount.formulas" in loaded
-
-
-@pytest.mark.parametrize("fmt", ["csv", "tsv", "bfile", "json"])
-def test_table_loads_no_closed_form_and_no_json(fmt):
-    runs = [["table", piece, "6", "--format", fmt] for piece in ("bishop", "anassa")]
-    loaded = modules_after(f"from chesscount import cli\nfor argv in {runs!r}: cli.main(argv)")
-    assert loaded & {"chesscount.formulas", "json"} == set()
-    assert {"chesscount.rows", "chesscount.commands"} <= loaded
-
-
-def test_coeffs_json_loads_no_json():
-    loaded = modules_after(
-        "from chesscount import cli\ncli.main(['coeffs', 'anassa', '3', '--format', 'json'])"
-    )
-    assert "json" not in loaded
-
-
-@pytest.mark.parametrize(
-    "argv, layers",
-    [
-        (
-            ["verify", "oracle", "--m-max", "4"],
-            {"verify_board", "formulas", "rows", "kernel", "board"},
-        ),
-        (["verify", "collapse", "--m-max", "4"], {"verify_board", "board"}),
-        (
-            ["verify", "identities", "--m-max", "2", "--k-max", "1"],
-            {"verify_identities", "formulas", "rows", "kernel"},
-        ),
-        (
-            ["verify", "coeffs", "--k-max", "2"],
-            {"verify_coeffs", "formulas", "quasipoly", "kernel"},
-        ),
-        (
-            ["verify", "all", "--k-max", "2"],
-            {
-                "verify_board", "verify_identities", "verify_coeffs",
-                "formulas", "rows", "kernel", "board", "quasipoly",
-            },
-        ),
-    ],
-)
-def test_board_suites_load_their_layers_and_nothing_else(argv, layers):
-    # Exactly the package modules the suite reads, and no module beyond what
-    # importing them loads: the suites themselves import nothing more.  A
-    # request in plain form loads neither ``commands`` nor argparse, and no
-    # suite module it does not run.
-    package = {"cli", "verify", *layers}
-    loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
-    assert {name for name in loaded if name.startswith("chesscount.")} == {
-        f"chesscount.{name}" for name in package
-    }
-    assert loaded == modules_after("\n".join(f"import chesscount.{name}" for name in package))
-
-
-def test_check_bounds_refuses_an_unknown_suite_before_loading_one():
-    loaded = modules_after(
-        "from chesscount import verify\n"
-        "try:\n    verify.check_bounds('everything', m_max=3)\n"
-        "except ValueError as exc:\n    assert 'unknown suite' in str(exc)\n"
-        "else:\n    raise AssertionError('accepted')"
-    )
-    assert {name for name in loaded if name.startswith("chesscount.")} == {"chesscount.verify"}
-
-
-def test_bare_package_import_loads_no_submodule():
-    loaded = modules_after("import chesscount")
-    assert "chesscount" in loaded
-    assert {name for name in loaded if name.startswith("chesscount.")} == set()
+    assert loaded & (unwanted | UNWANTED) == set()
 
 
 # --- reach: large boards in bounded memory ---

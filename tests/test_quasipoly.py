@@ -184,31 +184,6 @@ def test_bishop_coeffs_match_interpolation():
             assert list(bishop.coeffs[par]) == _interpolated(bishops, k, par), (k, par)
 
 
-def test_even_parity_convolves_each_pair_of_splits_once(monkeypatch):
-    # At even m both colors have the same rook vectors, so split j and split
-    # k - j give one product: k // 2 + 1 convolutions, against k + 1 at odd m.
-    calls = []
-    per_class = []
-    build = quasipoly._bishop_from_rooks
-
-    def counted(a, b):
-        calls.append((a, b))
-        return kernel.convolve(a, b)
-
-    def one_class(k, white, black):
-        calls.clear()
-        vector = build(k, white, black)
-        per_class.append(len(calls))
-        return vector
-
-    monkeypatch.setattr(quasipoly, "convolve", counted)
-    monkeypatch.setattr(quasipoly, "_bishop_from_rooks", one_class)
-    for k, want in ((40, [21, 41]), (5, [3, 6]), (0, [1, 1])):
-        per_class.clear()
-        rook_and_bishop_quasipolynomials(k)
-        assert per_class == want, k
-
-
 def test_one_constructor_gives_every_rook_and_bishop_vector():
     for k in range(9):
         white, black, bishop = rook_and_bishop_quasipolynomials(k)
