@@ -15,13 +15,14 @@ plain form from it directly.  This module holds what a ``count`` runs.
 that reads every other argv, only for them, so argparse loads only for help
 and usage errors.
 ``run`` is the process entry: ``python -m chesscount`` and the installed
-``chesscount`` script both call it.
+``chesscount`` script, the only two entries, both call it.
 """
 
 import gc
 import os
 import sys
 from collections.abc import Iterable, Sequence
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 _PIECE = ("piece", {"choices": ("bishop", "anassa")})
@@ -126,27 +127,26 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> int:
-    """Write chunks in order, each as it comes, to stdout or to ``out``: 1 if that fails, else 0."""
-    if out is None:
-        try:
-            for chunk in chunks:
-                sys.stdout.write(chunk)
-            sys.stdout.flush()
-        except OSError as exc:
-            # Python flushes stdout again at exit, so its descriptor goes to
-            # the null device to keep that flush quiet.  A closed pipe means
-            # the reader is gone and needs no message.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            if not isinstance(exc, BrokenPipeError):
-                print(f"cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-        return 0
+    """Write chunks in order, each as it comes, to stdout or to ``out``: 1 if that fails, else 0.
+
+    One loop writes to either target.  A failed write prints ``cannot write
+    stdout: reason`` or ``cannot write PATH: reason``, except a closed pipe on
+    stdout, which needs no message: the reader is gone.
+    """
     try:
-        with open(out, "w", encoding="utf-8") as handle:
+        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as handle:
             for chunk in chunks:
                 handle.write(chunk)
+            handle.flush()
     except OSError as exc:
-        print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        if out is None:
+            # Python flushes stdout again at exit, so its descriptor goes to
+            # the null device to keep that flush quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 1
+        reason = exc.strerror or exc
+        print(f"cannot write {'stdout' if out is None else out}: {reason}", file=sys.stderr)
         return 1
     return 0
 
@@ -236,6 +236,3 @@ def run() -> int:
     finally:
         gc.freeze()
 
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -39,21 +39,15 @@ def black_rooks(m: int, k: int) -> int:
 def bishops(m: int, k: int) -> int:
     """Nonattacking k-bishop placements on the m x m board, closed form.
 
-    Convolution of the two one-color rook counts over every split of the k
-    bishops between the colors; defined for every integer m (negative m
-    evaluates the same expression, e.g. m = -1 gives k!).
+    One sum, over every split of the k bishops between the colors, of the
+    product of the two one-color rook counts; defined for every integer m
+    (negative m evaluates the same expression, e.g. m = -1 gives k!).
     """
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
     # For m >= 0 each color holds at most m rooks, so splits past m vanish.
     splits = range(max(0, k - m), min(k, m) + 1) if m >= 0 else range(k + 1)
-    total = 0
-    for j in splits:
-        left = black_rooks(m, j)
-        if not left:
-            continue
-        total += left * white_rooks(m, k - j)
-    return total
+    return sum(black_rooks(m, j) * white_rooks(m, k - j) for j in splits)
 
 
 def anassas_split(m: int, k: int, p: int) -> int:

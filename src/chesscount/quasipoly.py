@@ -108,9 +108,7 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "coeffs")):
         return super().__new__(cls, coeffs)
 
     def evaluate(self, m: int) -> int:
-        """Exact value at board size m >= 0 (must come out an integer)."""
-        if m < 0:
-            raise ValueError(f"board size must be >= 0, got {m}")
+        """Exact value at any integer board size m, negative m too (must come out an integer)."""
         vec = self.coeffs[m % len(self.coeffs)]
         # Summed in integers over the coefficients' common denominator, so
         # the only Fraction is the total.

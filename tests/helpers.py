@@ -8,7 +8,6 @@ meaningful.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -108,24 +107,6 @@ def interpolate(points: Iterable[tuple[int, int]]) -> list[Fraction]:
 def polyval(coeffs: Sequence[Fraction], x: int) -> Fraction:
     """Evaluate ascending coefficients at x, exactly."""
     return sum((c * Fraction(x) ** d for d, c in enumerate(coeffs)), Fraction(0))
-
-
-def class_value(classes: Sequence[Sequence[Fraction]], m: int) -> int:
-    """A quasipolynomial's value at any integer m, negative m included, from its class vectors.
-
-    Vector m mod len(classes) (Python's modulo, so m = -1 reads the last
-    class) holds ascending monomial coefficients.  It is evaluated by
-    Horner's rule over one common denominator, in integers; the division at
-    the end must be exact.
-    """
-    vector = classes[m % len(classes)]
-    denominator = math.lcm(*(c.denominator for c in vector))
-    total = 0
-    for c in reversed(vector):
-        total = total * m + c.numerator * (denominator // c.denominator)
-    value, remainder = divmod(total, denominator)
-    assert not remainder, (m, Fraction(total, denominator))
-    return value
 
 
 def attacks(a: tuple[int, int], b: tuple[int, int], directions: Sequence[tuple[int, int]]) -> bool:

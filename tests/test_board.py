@@ -183,16 +183,6 @@ def test_white_is_the_color_of_the_corner():
         bishop_color_board(2, "green")
 
 
-def test_bishop_counts_factor_over_colors():
-    for m in range(6):
-        board = placement_counts(square_board(m), BISHOP_MOVES)
-        white = placement_counts(bishop_color_board(m, "white"), BISHOP_MOVES)
-        black = placement_counts(bishop_color_board(m, "black"), BISHOP_MOVES)
-        for k in range(2 * m + 1):
-            split = sum(_at(white, j) * _at(black, k - j) for j in range(k + 1))
-            assert split == _at(board, k), (m, k)
-
-
 # --- split on marked squares ---
 
 

@@ -316,7 +316,16 @@ def test_main_leaves_the_collector_unfrozen(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["count", "bishop", "8", "-1"]])
+# The last two are refusals raised outside ``cli``, by ``commands`` and ``verify``.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["count", "bishop", "8", "-1"],
+        ["table", "bishop", "-3"],
+        ["verify", "oracle", "--k-max", "3"],
+    ],
+)
 def test_entry_prints_what_main_prints_for_help_and_usage_errors(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as excinfo:
@@ -340,18 +349,23 @@ def test_entry_output_arrives_complete(unbuffered, capsys, monkeypatch):
 
 
 def test_every_launch_calls_the_one_entry():
-    # An installed script pointing elsewhere would skip the freeze.
+    # An installed script pointing elsewhere would skip the freeze, and a
+    # module run as a script is a second copy of itself, whose ``main`` does
+    # not catch the refusals the package raises.
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    for source in ("__main__.py", "cli.py"):
-        tree = ast.parse((SRC / "chesscount" / source).read_text())
-        exits = [
-            node.args[0].func.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"
-        ]
-        assert [f"chesscount.cli:{name}" for name in exits] == [scripts["chesscount"]], source
     assert scripts["chesscount"] == "chesscount.cli:run"
+    launches = {}
+    for path in sorted((SRC / "chesscount").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"
+                or isinstance(node, ast.Compare) and "__name__" in ast.unparse(node)
+            ):
+                launches.setdefault(path.name, []).append(node)
+    assert list(launches) == ["__main__.py"]
+    [call] = launches["__main__.py"]
+    assert f"chesscount.cli:{call.args[0].func.id}" == scripts["chesscount"]
 
 
 # --- coeffs ---
