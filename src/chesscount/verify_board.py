@@ -1,6 +1,6 @@
-"""The ``oracle`` and ``collapse`` suites.
+"""The ``oracle`` and ``collapse`` suites, each importing the layers it reads when it runs.
 
-Each imports the layers it reads when it runs, so ``collapse`` loads ``board`` alone.
+``collapse`` loads ``board`` alone; ``oracle`` adds ``formulas`` and ``kernel``, not ``rows``.
 """
 
 from .verify import CheckResult, _at
@@ -10,7 +10,7 @@ _PAST_MAX = 2  # sizes checked past the largest feasible one, where both sides m
 
 def suite_oracle(m_max: int = 5) -> list[CheckResult]:
     """All closed-form counts against exhaustive search on small boards."""
-    from . import formulas, rows
+    from . import formulas
     from .board import (
         ANASSA_MOVES,
         BISHOP_MOVES,
@@ -40,7 +40,7 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
             anassa[k] += n
         counts = {"bishop": bishop[board], "anassa": anassa}
         for piece, route in (("bishop", formulas.bishops), ("anassa", formulas.anassas)):
-            for k in range(rows.max_pieces(piece, m) + _PAST_MAX + 1):
+            for k in range(len(counts[piece]) + _PAST_MAX):
                 closed[piece].compare(
                     f"{piece} m={m} k={k}", route(m, k), _at(counts[piece], k)
                 )
@@ -52,7 +52,7 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
                     below.get((k, p), 0),
                 )
         product = convolve(bishop[white], bishop[black])
-        for k in range(rows.max_pieces("bishop", m) + 1):
+        for k in range(len(counts["bishop"])):
             colors.compare(f"color split m={m} k={k}", _at(product, k), _at(counts["bishop"], k))
     return [*closed.values(), split, colors]
 

@@ -1,8 +1,16 @@
 """Shared fixtures: the ``verify`` suites, run once per session."""
 
+import os
+import sys
+
 import pytest
 
-from chesscount.verify import run_suite
+# Neither this process nor the CLI children it starts write bytecode under
+# ``src/``: a later benchmark run in this checkout would skip compiling it.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from chesscount.verify import run_suite  # noqa: E402
 
 # Bounds at which the tests run each verify suite.  Each is at least as wide
 # as the tests that once repeated its groups, so every point they checked is

@@ -6,7 +6,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -60,12 +59,6 @@ def test_count_anassa_below(capsys):
 def test_count_negative_board_size(capsys):
     assert cli.main(["count", "anassa", "-1", "3"]) == 0
     assert capsys.readouterr().out == "6\n"
-
-
-def test_count_json(capsys):
-    assert cli.main(["count", "anassa", "4", "2", "--below", "2", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {"piece": "anassa", "m": 4, "k": 2, "below": 2, "count": 7}
 
 
 def test_counts_past_the_int_text_cap_print():
@@ -378,24 +371,6 @@ def test_coeffs_csv_collapses_equal_parities(capsys):
     assert capsys.readouterr().out == "1\n"
 
 
-def test_coeffs_json_schema(capsys):
-    assert cli.main(["coeffs", "bishop", "3", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"piece", "k", "period", "coeffs"}
-    assert payload["piece"] == "bishop" and payload["k"] == 3
-    assert payload["period"] == 2 and len(payload["coeffs"]) == 2
-    for vec in payload["coeffs"]:
-        assert len(vec) == 7
-        for entry in vec:
-            assert re.fullmatch(r"-?\d+/\d+", entry)
-
-
-def test_coeffs_anassa_period_one(capsys):
-    assert cli.main(["coeffs", "anassa", "3", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["period"] == 1 and len(payload["coeffs"]) == 1
-
-
 # SHA-256 of the JSON stdout at k = 30 and 40, past the k = 20 that the
 # interpolation tests reach; taken from the earlier all-Fraction route.
 COEFFS_SHA256 = {
@@ -599,10 +574,11 @@ def _request(package, *argv):
 COUNT = {"cli", "formulas", "kernel"}
 TABLE = {"cli", "commands", "rows", "kernel"}
 COEFFS = {"cli", "commands", "quasipoly", "kernel"}
+VERIFY = {"cli", "verify"}
 
 # Each request and exactly the package modules it loads.  A request in plain
-# form loads neither ``commands`` nor argparse, and no layer it does not run.
-# The ``verify`` requests are pinned in ``VERIFY_LAYERS`` below.
+# form loads neither ``commands`` nor argparse, and no layer it does not run;
+# a ``verify`` request loads no suite module it does not run.
 MODULE_SETS = [
     _request(COUNT, "count", "bishop", "8", "2"),
     _request(COUNT, "count", "bishop", "8", "2", "--format", "json"),
@@ -616,6 +592,24 @@ MODULE_SETS = [
     ),
     _request(COEFFS, "coeffs", "bishop", "3"),
     _request(COEFFS, "coeffs", "anassa", "3", "--format", "json"),
+    _request(
+        VERIFY | {"verify_board", "formulas", "kernel", "board"}, "verify", "oracle", "--m-max", "4"
+    ),
+    _request(VERIFY | {"verify_board", "board"}, "verify", "collapse", "--m-max", "4"),
+    _request(
+        VERIFY | {"verify_identities", "formulas", "rows", "kernel"},
+        "verify", "identities", "--m-max", "2", "--k-max", "1",
+    ),
+    _request(
+        VERIFY | {"verify_coeffs", "formulas", "quasipoly", "kernel"}, "verify", "coeffs", "--k-max", "2"
+    ),
+    _request(
+        VERIFY | {
+            "verify_board", "verify_identities", "verify_coeffs",
+            "formulas", "rows", "kernel", "board", "quasipoly",
+        },
+        "verify", "all", "--k-max", "2",
+    ),
     pytest.param("import chesscount", set(), id="import-chesscount"),
     pytest.param(
         "from chesscount import verify\n"
@@ -633,61 +627,17 @@ MODULE_SETS = [
 UNWANTED = {"dataclasses", "inspect", "typing", "json", "argparse", "gettext", "locale", "threading"}
 
 
-def loads_exactly(code, package):
-    """What ``code`` loads, checked to be exactly the ``chesscount`` modules in
-    ``package`` and no module beyond what importing those loads: the code run
-    imports nothing more."""
+@pytest.mark.parametrize("code, package", MODULE_SETS)
+def test_each_request_loads_exactly_its_layers(code, package):
+    # Exactly the ``chesscount`` modules in ``package``, and no module beyond
+    # what importing those loads: the code run imports nothing more.
     loaded = modules_after(code)
     modules = {f"chesscount.{name}" for name in package}
     assert {name for name in loaded if name.startswith("chesscount.")} == modules
     assert loaded == modules_after("\n".join(["import chesscount", *map("import {}".format, modules)]))
-    return loaded
-
-
-@pytest.mark.parametrize("code, package", MODULE_SETS)
-def test_each_request_loads_exactly_its_layers(code, package):
     # Fractions and decimals come only with quasipoly.
-    loaded = loads_exactly(code, package)
     unwanted = UNWANTED if "quasipoly" in package else UNWANTED | {"fractions", "decimal"}
     assert loaded & unwanted == set()
-
-
-# Each ``verify`` request and the suite module and layers it loads besides
-# ``cli`` and ``verify``: no ``commands``, and no suite module it does not run.
-VERIFY_LAYERS = [
-    (["verify", "oracle", "--m-max", "4"], {"verify_board", "formulas", "rows", "kernel", "board"}),
-    (["verify", "collapse", "--m-max", "4"], {"verify_board", "board"}),
-    (
-        ["verify", "identities", "--m-max", "2", "--k-max", "1"],
-        {"verify_identities", "formulas", "rows", "kernel"},
-    ),
-    (["verify", "coeffs", "--k-max", "2"], {"verify_coeffs", "formulas", "quasipoly", "kernel"}),
-    (
-        ["verify", "all", "--k-max", "2"],
-        {
-            "verify_board", "verify_identities", "verify_coeffs",
-            "formulas", "rows", "kernel", "board", "quasipoly",
-        },
-    ),
-]
-
-
-@pytest.mark.parametrize("argv, layers", VERIFY_LAYERS)
-def test_board_suites_load_their_layers_and_nothing_else(argv, layers):
-    loads_exactly(f"from chesscount import cli\ncli.main({argv!r})", {"cli", "verify", *layers})
-
-
-@pytest.mark.parametrize(
-    "argv, unwanted",
-    [
-        (argv, set() if "quasipoly" in layers else {"fractions", "decimal"})
-        for argv, layers in VERIFY_LAYERS
-    ],
-)
-def test_verify_loads_only_the_layers_its_suite_uses(argv, unwanted):
-    # The libraries no request loads; fractions and decimals come only with quasipoly.
-    loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
-    assert loaded & (unwanted | UNWANTED) == set()
 
 
 # --- reach: large boards in bounded memory ---
@@ -710,12 +660,6 @@ def test_large_board_count_fits_in_512_mib(piece, quasipolynomial):
 
 
 # --- verify ---
-
-
-def test_verify_fast_suites_pass(capsys):
-    assert cli.main(["verify", "coeffs", "--k-max", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "0 failures" in out and "FAIL" not in out
 
 
 VERIFY_ALL = """\
@@ -769,18 +713,3 @@ def test_verify_fails_a_group_that_checked_nothing(capsys):
     assert cli.main(["verify", "collapse", "--m-max", "0"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL  inductive subset collapse (0 checks, 0 failed)\n")
-
-
-# --- determinism across processes ---
-
-
-def test_byte_identical_runs():
-    for args in (
-        ["table", "bishop", "7", "--format", "bfile"],
-        ["coeffs", "bishop", "3", "--format", "json"],
-    ):
-        first = run_cli(*args)
-        second = run_cli(*args)
-        assert first.returncode == second.returncode == 0, first.stderr
-        assert first.stdout == second.stdout
-        assert first.stdout

@@ -141,13 +141,6 @@ def test_assoc_stirling2_boundaries():
         assert assoc_stirling2(m, m // 2 + 1) == 0
 
 
-def test_assoc_stirling2_recurrence():
-    for m in range(2, 14):
-        for k in range(m // 2 + 1):
-            want = k * assoc_stirling2(m - 1, k) + (m - 1) * assoc_stirling2(m - 2, k - 1)
-            assert assoc_stirling2(m, k) == want
-
-
 def test_assoc_stirling2_rejects_negative_m():
     with pytest.raises(ValueError):
         assoc_stirling2(-2, 1)
