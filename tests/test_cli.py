@@ -574,11 +574,10 @@ def _request(package, *argv):
 COUNT = {"cli", "formulas", "kernel"}
 TABLE = {"cli", "commands", "rows", "kernel"}
 COEFFS = {"cli", "commands", "quasipoly", "kernel"}
-VERIFY = {"cli", "verify"}
 
 # Each request and exactly the package modules it loads.  A request in plain
-# form loads neither ``commands`` nor argparse, and no layer it does not run;
-# a ``verify`` request loads no suite module it does not run.
+# form loads neither ``commands`` nor argparse, and no layer it does not run.
+# The ``verify`` requests are pinned in ``VERIFY_LAYERS`` below.
 MODULE_SETS = [
     _request(COUNT, "count", "bishop", "8", "2"),
     _request(COUNT, "count", "bishop", "8", "2", "--format", "json"),
@@ -592,24 +591,6 @@ MODULE_SETS = [
     ),
     _request(COEFFS, "coeffs", "bishop", "3"),
     _request(COEFFS, "coeffs", "anassa", "3", "--format", "json"),
-    _request(
-        VERIFY | {"verify_board", "formulas", "kernel", "board"}, "verify", "oracle", "--m-max", "4"
-    ),
-    _request(VERIFY | {"verify_board", "board"}, "verify", "collapse", "--m-max", "4"),
-    _request(
-        VERIFY | {"verify_identities", "formulas", "rows", "kernel"},
-        "verify", "identities", "--m-max", "2", "--k-max", "1",
-    ),
-    _request(
-        VERIFY | {"verify_coeffs", "formulas", "quasipoly", "kernel"}, "verify", "coeffs", "--k-max", "2"
-    ),
-    _request(
-        VERIFY | {
-            "verify_board", "verify_identities", "verify_coeffs",
-            "formulas", "rows", "kernel", "board", "quasipoly",
-        },
-        "verify", "all", "--k-max", "2",
-    ),
     pytest.param("import chesscount", set(), id="import-chesscount"),
     pytest.param(
         "from chesscount import verify\n"
@@ -627,17 +608,62 @@ MODULE_SETS = [
 UNWANTED = {"dataclasses", "inspect", "typing", "json", "argparse", "gettext", "locale", "threading"}
 
 
-@pytest.mark.parametrize("code, package", MODULE_SETS)
-def test_each_request_loads_exactly_its_layers(code, package):
-    # Exactly the ``chesscount`` modules in ``package``, and no module beyond
-    # what importing those loads: the code run imports nothing more.
+def loads_exactly(code, package):
+    """What ``code`` loads, checked to be exactly the ``chesscount`` modules in
+    ``package`` and no module beyond what importing those loads: the code run
+    imports nothing more."""
     loaded = modules_after(code)
     modules = {f"chesscount.{name}" for name in package}
     assert {name for name in loaded if name.startswith("chesscount.")} == modules
     assert loaded == modules_after("\n".join(["import chesscount", *map("import {}".format, modules)]))
+    return loaded
+
+
+@pytest.mark.parametrize("code, package", MODULE_SETS)
+def test_each_request_loads_exactly_its_layers(code, package):
     # Fractions and decimals come only with quasipoly.
+    loaded = loads_exactly(code, package)
     unwanted = UNWANTED if "quasipoly" in package else UNWANTED | {"fractions", "decimal"}
     assert loaded & unwanted == set()
+
+
+# Each ``verify`` request and the suite module and layers it loads besides
+# ``cli`` and ``verify``: no ``commands``, and no suite module it does not run.
+# The oracle suite takes its bounds from its own search, so it loads no ``rows``.
+VERIFY_LAYERS = [
+    (["verify", "oracle", "--m-max", "4"], {"verify_board", "formulas", "kernel", "board"}),
+    (["verify", "collapse", "--m-max", "4"], {"verify_board", "board"}),
+    (
+        ["verify", "identities", "--m-max", "2", "--k-max", "1"],
+        {"verify_identities", "formulas", "rows", "kernel"},
+    ),
+    (["verify", "coeffs", "--k-max", "2"], {"verify_coeffs", "formulas", "quasipoly", "kernel"}),
+    (
+        ["verify", "all", "--k-max", "2"],
+        {
+            "verify_board", "verify_identities", "verify_coeffs",
+            "formulas", "rows", "kernel", "board", "quasipoly",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, layers", VERIFY_LAYERS)
+def test_board_suites_load_their_layers_and_nothing_else(argv, layers):
+    loads_exactly(f"from chesscount import cli\ncli.main({argv!r})", {"cli", "verify", *layers})
+
+
+@pytest.mark.parametrize(
+    "argv, unwanted",
+    [
+        (argv, set() if "quasipoly" in layers else {"fractions", "decimal"})
+        for argv, layers in VERIFY_LAYERS
+    ],
+)
+def test_verify_loads_only_the_layers_its_suite_uses(argv, unwanted):
+    # The libraries no request loads; fractions and decimals come only with quasipoly.
+    loaded = modules_after(f"from chesscount import cli\ncli.main({argv!r})")
+    assert loaded & (unwanted | UNWANTED) == set()
 
 
 # --- reach: large boards in bounded memory ---
