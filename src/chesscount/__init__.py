@@ -20,13 +20,13 @@ _EXPORTS = {
     "board": """ANASSA_MOVES BISHOP_MOVES PIECES MoveSet bishop_color_board
         inductive_subset placement_counts placement_profile square_board""",
     "formulas": "anassas anassas_split bishops black_rooks count white_rooks",
-    "kernel": """assoc_stirling2 binomial convolve falling_factorial stirling1_unsigned
-        stirling2""",
+    "kernel": "assoc_stirling2 binomial falling_factorial stirling1_unsigned stirling2",
+    "poly": "convolve",
     "quasipoly": """QuasiPolynomial anassa_coeffs anassa_quasipolynomial
         bishop_quasipolynomial divide_by_falling_factorial effective_period
         rook_and_bishop_quasipolynomials""",
-    "rows": """anassa_rows anassa_split_rows anassas_diagonal black_rooks_alt count_table
-        max_pieces rook_rows white_rooks_alt""",
+    "rows": "anassa_rows count_table max_pieces rook_rows",
+    "verify_identities": "anassa_split_rows anassas_diagonal black_rooks_alt white_rooks_alt",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,4 +1,4 @@
-"""Command-line interface: the grammar, the ``count`` path and the process entry.
+"""Command-line interface: the grammar, its reader, dispatch and the process entry.
 
 Subcommands: ``count`` (one closed-form count), ``table`` (count triangle),
 ``coeffs`` (quasipolynomial coefficients), ``verify`` (self-check suites).
@@ -9,16 +9,17 @@ verification or I/O failure (stdout included), 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
 
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
-plain form from it directly.  This module holds what a ``count`` runs.
-``main`` imports :mod:`chesscount.verify` only for ``verify``, and
-:mod:`chesscount.commands`, with the other handlers and the argparse parser
-that reads every other argv, only for them, so argparse loads only for help
-and usage errors.
+plain form from it directly, and imports :mod:`chesscount.commands`, with
+the argparse parser that reads every other argv, only for those, so
+argparse loads only for help, usage errors and refusals.  Each handler sits
+in the module that ``HOMES`` names, beside the routes it runs, and ``main``
+loads only that module, so a request compiles no other handler.
 ``run`` is the process entry: ``python -m chesscount`` and the installed
 ``chesscount`` script, the only two entries, both call it.
 """
 
 import gc
+import importlib
 import os
 import sys
 from collections.abc import Iterable, Sequence
@@ -126,6 +127,9 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     return None if positionals else SimpleNamespace(**fields)
 
 
+_SEPARATORS = {"csv": ",", "tsv": "\t"}  # of each row's values, in the delimited formats
+
+
 def _emit(chunks: Iterable[str], out: str | None) -> int:
     """Write chunks in order, each as it comes, to stdout or to ``out``: 1 if that fails, else 0.
 
@@ -168,26 +172,12 @@ def _json(value: object) -> str:
     return f'"{value}"'
 
 
-def cmd_count(args: SimpleNamespace) -> int:
-    from . import formulas
-
-    if args.k < 0:
-        raise _UsageError(f"k must be >= 0, got {args.k}")
-    if args.below is not None:
-        if args.piece != "anassa":
-            raise _UsageError("--below applies only to the anassa")
-        if args.below < 0:
-            raise _UsageError(f"--below must be >= 0, got {args.below}")
-        value = formulas.anassas_split(args.m, args.k, args.below)
-    else:
-        value = formulas.count(args.piece, args.m, args.k)
-    if args.format == "json":
-        payload = {"piece": args.piece, "m": args.m, "k": args.k}
-        if args.below is not None:
-            payload["below"] = args.below
-        payload["count"] = value
-        return _emit([_json(payload) + "\n"], args.out)
-    return _emit([f"{value}\n"], args.out)
+# Where each subcommand's handler lives: ``_cmd_<name>`` in the sibling module
+# named here, beside the routes it runs.  The handlers are private because
+# bench/tracer.py wraps each layer's public names and opens a span only where
+# a call crosses layers: a public handler would turn the calls it makes into
+# its own layer into calls inside that layer, and their spans would vanish.
+HOMES = {"count": "formulas", "table": "rows", "coeffs": "quasipoly", "verify": "verify"}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -197,14 +187,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .commands import _parse  # argparse, for help, usage errors and any other argv
 
         args = _parse(argv)
-    if args.command == "count":
-        handler = cmd_count
-    elif args.command == "verify":
-        from .verify import _cmd_verify as handler
-    else:
-        from .commands import HANDLERS
-
-        handler = HANDLERS[args.command]
+    home = importlib.import_module(f"{__package__}.{HOMES[args.command]}")
+    handler = getattr(home, f"_cmd_{args.command}")
     # Counts may pass the default cap on printing long integers.  It is lifted
     # only while the handler runs, so argv, here and in later calls, keeps it.
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None

@@ -1,13 +1,16 @@
-"""Closed forms for nonattacking placement counts.
+"""Closed forms for nonattacking placement counts, and ``count``.
 
 Counts k nonattacking bishops or anassas (moves {(0,1), (1,1)}) on the
 m x m board by the Stirling closed forms, the route ``count`` runs.  Bishop
 counts factor through rook counts on the two one-color boards; anassa
 counts additionally split by how many pieces sit strictly below the main
-diagonal.  The row recurrences on the board size, the tables built from
-them and the routes only the self-checks read are in :mod:`chesscount.rows`,
-so a count compiles none of them.
+diagonal.  The row recurrences on the board size and the tables built from
+them are in :mod:`chesscount.rows`, and the routes only the self-checks
+read in :mod:`chesscount.verify_identities`, so a count compiles none of
+them.
 """
+
+from types import SimpleNamespace
 
 from .kernel import binomial, falling_factorial, stirling2
 
@@ -95,3 +98,26 @@ def count(piece: str, m: int, k: int) -> int:
     if piece == "anassa":
         return anassas(m, k)
     raise ValueError(f"unknown piece {piece!r}")
+
+
+def _cmd_count(args: SimpleNamespace) -> int:
+    """The ``count`` handler, which ``cli.main`` finds through ``cli.HOMES``."""
+    from .cli import _emit, _json, _UsageError
+
+    if args.k < 0:
+        raise _UsageError(f"k must be >= 0, got {args.k}")
+    if args.below is not None:
+        if args.piece != "anassa":
+            raise _UsageError("--below applies only to the anassa")
+        if args.below < 0:
+            raise _UsageError(f"--below must be >= 0, got {args.below}")
+        value = anassas_split(args.m, args.k, args.below)
+    else:
+        value = count(args.piece, args.m, args.k)
+    if args.format == "json":
+        payload = {"piece": args.piece, "m": args.m, "k": args.k}
+        if args.below is not None:
+            payload["below"] = args.below
+        payload["count"] = value
+        return _emit([_json(payload) + "\n"], args.out)
+    return _emit([f"{value}\n"], args.out)

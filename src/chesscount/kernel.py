@@ -1,13 +1,14 @@
 """Exact combinatorial primitives on plain Python integers.
 
 Binomial coefficients and Stirling-family numbers, extended to negative
-arguments where a consistent extension exists, polynomial products, and
-the integer basis-change rows behind the quasipolynomial coefficients.
+arguments where a consistent extension exists, and the integer
+basis-change rows behind the quasipolynomial coefficients.  Polynomial
+products are in :mod:`chesscount.poly`.
 Everything here is exact: no floats, no overflow, ``int`` in, ``int`` out.
 """
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 
 
 def binomial(n: int, k: int) -> int:
@@ -40,15 +41,6 @@ def falling_factorial(x: int, k: int) -> int:
         return math.perm(x, k)  # 0 when k > x
     # x(x-1)...(x-k+1) = (-1)^k * (-x)(-x+1)...(-x+k-1), a rising factorial.
     return (-1) ** (k & 1) * math.perm(k - x - 1, k)
-
-
-def convolve(a: Sequence[object], b: Sequence[object]) -> tuple[object, ...]:
-    """Ascending coefficients of the product of two nonempty coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def _times_linear(row: list[int], c: int, scale: int, den: int) -> list[int]:

@@ -7,15 +7,18 @@ coefficient vectors exactly in the monomial basis.  They are built in
 integers, as numerators over one known denominator per vector, and each
 coefficient becomes a Fraction only in the last step, when it is returned.
 The rook and bishop vectors of both parity classes come from one
-constructor, the only place that picks each color's parity shift.
+constructor, the only place that picks each color's parity shift.  The
+``coeffs`` handler sits here too, beside the routes it runs.
 """
 
 import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .kernel import _basis_change_rows, assoc_stirling2, binomial, convolve
+from .kernel import _basis_change_rows, assoc_stirling2, binomial
+from .poly import convolve
 
 
 def _monomial_numerators(weights: Sequence[int]) -> list[int]:
@@ -186,3 +189,27 @@ def divide_by_falling_factorial(
             raise ArithmeticError(f"nonzero remainder {remainder} dividing by m - {root}")
         current = list(reversed(stages))
     return current
+
+
+def _cmd_coeffs(args: SimpleNamespace) -> int:
+    """The ``coeffs`` handler, which ``cli.main`` finds through ``cli.HOMES``."""
+    from .cli import _SEPARATORS, _emit, _json, _UsageError
+
+    if args.k < 0:
+        raise _UsageError(f"k must be >= 0, got {args.k}")
+    if args.piece == "bishop":
+        qp = bishop_quasipolynomial(args.k)
+    else:
+        qp = anassa_quasipolynomial(args.k)
+    period = effective_period(qp.coeffs)
+    vectors = qp.coeffs[:period]
+    if args.format == "json":
+        payload = {
+            "piece": args.piece,
+            "k": args.k,
+            "period": period,
+            "coeffs": [[f"{c.numerator}/{c.denominator}" for c in vec] for vec in vectors],
+        }
+        return _emit([_json(payload) + "\n"], args.out)
+    sep = _SEPARATORS[args.format]
+    return _emit((sep.join(map(str, vec)) + "\n" for vec in vectors), args.out)

@@ -1,21 +1,19 @@
-"""Row recurrences on the board size, and the other routes beside the closed forms.
+"""Row recurrences on the board size, the count tables built from them, and ``table``.
 
-The routes here reach the counts of :mod:`chesscount.formulas` another
-way, so that the self-checks can compare the two; ``table`` and ``verify``
-import this module, and ``count`` does not.  The row recurrences on the
-board size are generators that keep only the current row and feed
-:func:`count_table`.  The classical alternating sums of the one-color rook
-counts use neither a Stirling number nor a recurrence.  Anassa tables come
-from a three-term recurrence on the totals (:func:`anassa_rows`); the
-p-split rows (:func:`anassa_split_rows`) keep the paper's refined
-recurrence, which the self-checks compare with the split closed form.
-:func:`anassas_diagonal` sums the saturated anassa count two ways.
+The recurrences reach the counts of :mod:`chesscount.formulas` another
+way, so that the self-checks can compare the two; ``table`` and the
+``identities`` suite import this module, and ``count`` does not.  They are
+generators that keep only the current row and feed :func:`count_table`.
+Anassa tables come from a three-term recurrence on the totals
+(:func:`anassa_rows`).  The routes that only the self-checks read are in
+:mod:`chesscount.verify_identities`, so a ``table`` request compiles none
+of them, and no closed form.
 """
 
-import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
 
-from .kernel import binomial, convolve, stirling2
+from .poly import convolve
 
 
 def rook_rows(m_max: int, color: str) -> Iterator[tuple[int, ...]]:
@@ -76,36 +74,6 @@ def anassa_rows(m_max: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-def anassa_split_rows(m_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Diagonal-split anassa counts by recurrence on the board size.
-
-    Yields, for m = 0 .. m_max, the triangle whose row k (k <= m) holds
-    A(m, k, p) for p = 0 .. k; entries outside it are 0.  A(0, 0, 0) = 1 and
-    A(m,k,p) = A(m-1,k,p) + (m-k+1) A(m-1,k-1,p) + (m-p) A(m-1,k-1,p-1)
-    + (m-p)(m-k+1) A(m-1,k-2,p-1): the two new-square choices are the new
-    corner column below the diagonal and the new top row on or above it.
-    Raises ValueError, when iterated, for m_max < 0.
-    """
-    if m_max < 0:
-        raise ValueError(f"anassa_split_rows needs m_max >= 0, got {m_max}")
-    tri = [[1]]
-    yield ((1,),)
-    for m in range(1, m_max + 1):
-        tri.append([0] * (m + 1))
-        # The corner column (m - p squares; its piece raises p), then the
-        # top row (m - k + 1 squares).  Each pass runs k downward, so it
-        # reads row k - 1 before changing it.
-        for k in range(m, 0, -1):
-            row, prev = tri[k], tri[k - 1]
-            for p in range(1, k + 1):
-                row[p] += (m - p) * prev[p - 1]
-        for k in range(m, 0, -1):
-            row, prev = tri[k], tri[k - 1]
-            for p in range(k):
-                row[p] += (m - k + 1) * prev[p]
-        yield tuple(map(tuple, tri))
-
-
 def max_pieces(piece: str, m: int) -> int:
     """Largest k with a nonzero count on the m x m board."""
     if m < 0:
@@ -138,53 +106,44 @@ def count_table(piece: str, m_max: int, rect: bool = False) -> Iterator[tuple[in
     return (row + (0,) * (top + 1 - len(row)) for row in rows)
 
 
-def _rooks_alt(m: int, k: int, half: int) -> int:
-    if m < 0 or k < 0:
-        raise ValueError(f"the alternating sum needs m, k >= 0, got m={m}, k={k}")
-    t = m - k
-    if t < 0:
-        return 0
-    total = sum(
-        binomial(t, j) * (-1) ** ((t - j) & 1) * (j + 1) ** half * j ** (m - half)
-        for j in range(t + 1)
+def _table_bfile(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    offset = args.offset or 0
+    bound = "padded to a common width" if args.rect else "truncated at the last nonzero count"
+    yield (
+        f"# nonattacking {args.piece} placements on m x m boards\n"
+        f"# triangle rows m = 0..{args.m_max}, k ascending within each row ({bound})\n"
+        f"# single running index in row-major order, starting at {offset}\n"
     )
-    q, r = divmod(total, math.factorial(t))
-    if r:
-        raise ArithmeticError(f"alternating sum for m={m}, k={k} not divisible by {t}!")
-    return q
+    for row in rows:
+        yield "".join(f"{offset + k} {v}\n" for k, v in enumerate(row))
+        offset += len(row)
 
 
-def white_rooks_alt(m: int, k: int) -> int:
-    """White-square rook counts via the classical alternating sum; needs m, k >= 0.
+def _table_json(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """``json.dumps`` of the table's payload and a newline, in one chunk per row."""
+    from .cli import _json
 
-    With t = m - k and h = ceil(m/2):  (1/t!) * sum over j of C(t, j)
-    * (-1)^(t-j) * (j+1)^h * j^(m-h); zero when k > m.  The division is
-    exact; a nonzero remainder would mean a bug.
-    """
-    return _rooks_alt(m, k, (m + 1) // 2)
-
-
-def black_rooks_alt(m: int, k: int) -> int:
-    """Companion to :func:`white_rooks_alt` for the black-square board: h = floor(m/2)."""
-    return _rooks_alt(m, k, m // 2)
+    head = {"piece": args.piece, "m_max": args.m_max, "rect": args.rect, "rows": []}
+    yield _json(head)[:-2]  # up to the open bracket of the rows
+    separator = ""
+    for row in rows:
+        yield separator + _json(row)
+        separator = ", "
+    yield "]}\n"
 
 
-def anassas_diagonal(m: int) -> tuple[int, int]:
-    """The saturated count (k = m anassas) computed two independent ways.
+def _cmd_table(args: SimpleNamespace) -> int:
+    """The ``table`` handler, which ``cli.main`` finds through ``cli.HOMES``."""
+    from .cli import _SEPARATORS, _emit, _UsageError
 
-    Returns (sum over j of C(m+1,j) * S(m,j) * j! / 2^j,
-             sum over j of C(m+1,j) * j^m, divided by 2^(m+1)).
-    Both are exact; the pair is returned unmerged so callers can assert
-    they agree.
-    """
-    if m < 0:
-        raise ValueError(f"board size must be >= 0, got {m}")
-    # 2^m times the first sum, and the second before its division.
-    first = sum(
-        (binomial(m + 1, j) * stirling2(m, j) * math.factorial(j)) << (m - j)
-        for j in range(m + 1)
-    )
-    second = sum(binomial(m + 1, j) * j**m for j in range(m + 2))
-    if first % 2**m or second % 2 ** (m + 1):
-        raise ArithmeticError(f"saturated anassa count for m={m} came out non-integral")
-    return first >> m, second >> (m + 1)
+    if args.m_max < 0:
+        raise _UsageError(f"m_max must be >= 0, got {args.m_max}")
+    if args.offset is not None and args.format != "bfile":
+        raise _UsageError("--offset applies only to --format bfile")
+    rows = count_table(args.piece, args.m_max, rect=args.rect)
+    if args.format == "json":
+        return _emit(_table_json(args, rows), args.out)
+    if args.format == "bfile":
+        return _emit(_table_bfile(args, rows), args.out)
+    sep = _SEPARATORS[args.format]
+    return _emit((sep.join(map(str, row)) + "\n" for row in rows), args.out)

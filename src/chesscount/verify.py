@@ -78,9 +78,7 @@ def run_suite(name: str, m_max: int | None = None, k_max: int | None = None) -> 
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
-    """The ``verify`` handler, which ``cli.main`` calls without loading ``commands``."""
-    # Private: bench/tracer.py wraps this layer's public names, and a public
-    # handler would make the call to ``run_suite`` one inside the layer.
+    """The ``verify`` handler, which ``cli.main`` finds through ``cli.HOMES``."""
     from .cli import _emit, _UsageError
 
     try:

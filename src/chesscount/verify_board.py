@@ -1,6 +1,7 @@
 """The ``oracle`` and ``collapse`` suites, each importing the layers it reads when it runs.
 
-``collapse`` loads ``board`` alone; ``oracle`` adds ``formulas`` and ``kernel``, not ``rows``.
+``collapse`` loads ``board`` alone; ``oracle`` adds ``formulas``, ``kernel`` and
+``poly``, not ``rows``.
 """
 
 from .verify import CheckResult, _at
@@ -20,7 +21,7 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
         placement_profile,
         square_board,
     )
-    from .kernel import convolve
+    from .poly import convolve
 
     # Nothing caches a search, so each step searches each distinct board once
     # and keeps the result: at m <= 1 a color board equals the square board,

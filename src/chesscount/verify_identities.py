@@ -1,17 +1,108 @@
-"""The ``identities`` suite; it checks the basis change on the kernel's integer rows."""
+"""The ``identities`` suite, and the routes to the counts that only it reads.
+
+Those routes are the paper's p-split anassa recurrence
+(:func:`anassa_split_rows`), the classical alternating sums of the
+one-color rook counts (:func:`white_rooks_alt`, :func:`black_rooks_alt`),
+which use neither a Stirling number nor a recurrence, and the two sums of
+the saturated anassa count (:func:`anassas_diagonal`).  The suite also
+checks the basis change on the kernel's integer rows.
+"""
 
 import math
+from collections.abc import Iterator
 
 from . import formulas, rows
 from .kernel import (
     _basis_change_rows,
     assoc_stirling2,
     binomial,
-    convolve,
     stirling1_unsigned,
     stirling2,
 )
+from .poly import convolve
 from .verify import CheckResult, _at
+
+
+def anassa_split_rows(m_max: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Diagonal-split anassa counts by recurrence on the board size.
+
+    Yields, for m = 0 .. m_max, the triangle whose row k (k <= m) holds
+    A(m, k, p) for p = 0 .. k; entries outside it are 0.  A(0, 0, 0) = 1 and
+    A(m,k,p) = A(m-1,k,p) + (m-k+1) A(m-1,k-1,p) + (m-p) A(m-1,k-1,p-1)
+    + (m-p)(m-k+1) A(m-1,k-2,p-1): the two new-square choices are the new
+    corner column below the diagonal and the new top row on or above it.
+    Raises ValueError, when iterated, for m_max < 0.
+    """
+    if m_max < 0:
+        raise ValueError(f"anassa_split_rows needs m_max >= 0, got {m_max}")
+    tri = [[1]]
+    yield ((1,),)
+    for m in range(1, m_max + 1):
+        tri.append([0] * (m + 1))
+        # The corner column (m - p squares; its piece raises p), then the
+        # top row (m - k + 1 squares).  Each pass runs k downward, so it
+        # reads row k - 1 before changing it.
+        for k in range(m, 0, -1):
+            row, prev = tri[k], tri[k - 1]
+            for p in range(1, k + 1):
+                row[p] += (m - p) * prev[p - 1]
+        for k in range(m, 0, -1):
+            row, prev = tri[k], tri[k - 1]
+            for p in range(k):
+                row[p] += (m - k + 1) * prev[p]
+        yield tuple(map(tuple, tri))
+
+
+def _rooks_alt(m: int, k: int, half: int) -> int:
+    if m < 0 or k < 0:
+        raise ValueError(f"the alternating sum needs m, k >= 0, got m={m}, k={k}")
+    t = m - k
+    if t < 0:
+        return 0
+    total = sum(
+        binomial(t, j) * (-1) ** ((t - j) & 1) * (j + 1) ** half * j ** (m - half)
+        for j in range(t + 1)
+    )
+    q, r = divmod(total, math.factorial(t))
+    if r:
+        raise ArithmeticError(f"alternating sum for m={m}, k={k} not divisible by {t}!")
+    return q
+
+
+def white_rooks_alt(m: int, k: int) -> int:
+    """White-square rook counts via the classical alternating sum; needs m, k >= 0.
+
+    With t = m - k and h = ceil(m/2):  (1/t!) * sum over j of C(t, j)
+    * (-1)^(t-j) * (j+1)^h * j^(m-h); zero when k > m.  The division is
+    exact; a nonzero remainder would mean a bug.
+    """
+    return _rooks_alt(m, k, (m + 1) // 2)
+
+
+def black_rooks_alt(m: int, k: int) -> int:
+    """Companion to :func:`white_rooks_alt` for the black-square board: h = floor(m/2)."""
+    return _rooks_alt(m, k, m // 2)
+
+
+def anassas_diagonal(m: int) -> tuple[int, int]:
+    """The saturated count (k = m anassas) computed two independent ways.
+
+    Returns (sum over j of C(m+1,j) * S(m,j) * j! / 2^j,
+             sum over j of C(m+1,j) * j^m, divided by 2^(m+1)).
+    Both are exact; the pair is returned unmerged so callers can assert
+    they agree.
+    """
+    if m < 0:
+        raise ValueError(f"board size must be >= 0, got {m}")
+    # 2^m times the first sum, and the second before its division.
+    first = sum(
+        (binomial(m + 1, j) * stirling2(m, j) * math.factorial(j)) << (m - j)
+        for j in range(m + 1)
+    )
+    second = sum(binomial(m + 1, j) * j**m for j in range(m + 2))
+    if first % 2**m or second % 2 ** (m + 1):
+        raise ArithmeticError(f"saturated anassa count for m={m} came out non-integral")
+    return first >> m, second >> (m + 1)
 
 
 def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
@@ -79,7 +170,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
         for k in range(11):
             closed = formulas.white_rooks(m, k)
             r.compare(f"white rec m={m} k={k}", _at(white, k), closed)
-            r.compare(f"white alt m={m} k={k}", rows.white_rooks_alt(m, k), closed)
+            r.compare(f"white alt m={m} k={k}", white_rooks_alt(m, k), closed)
             r.compare(f"black rec m={m} k={k}", _at(black, k), formulas.black_rooks(m, k))
             if m % 2 == 0:
                 even.compare(f"m={m} k={k}", _at(white, k), _at(black, k))
@@ -90,8 +181,8 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     # Table rows convolve the black and white rook_rows of each size; the
     # alternating sums use no Stirling number and no recurrence.
     for m, row in enumerate(rows.count_table("bishop", small)):
-        white = [rows.white_rooks_alt(m, j) for j in range(11)]
-        black = [rows.black_rooks_alt(m, j) for j in range(11)]
+        white = [white_rooks_alt(m, j) for j in range(11)]
+        black = [black_rooks_alt(m, j) for j in range(11)]
         for k in range(11):
             closed = formulas.bishops(m, k)
             r.compare(f"convolution m={m} k={k}", _at(row, k), closed)
@@ -100,7 +191,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     results.append(r)
 
     r = CheckResult("anassa split: recurrence, closed form, and total agree")
-    for m, tri in enumerate(rows.anassa_split_rows(small)):
+    for m, tri in enumerate(anassa_split_rows(small)):
         for k in range(k_max + 1):
             split = tri[k] if k <= m else ()
             closed = [formulas.anassas_split(m, k, p) for p in range(k + 1)]
@@ -124,7 +215,7 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
 
     r = CheckResult("saturated anassa count: two summations and the closed form")
     for m in range(9):
-        first, second = rows.anassas_diagonal(m)
+        first, second = anassas_diagonal(m)
         r.compare(f"pair m={m}", first, second)
         r.compare(f"closed m={m}", formulas.anassas(m, m), first)
     results.append(r)

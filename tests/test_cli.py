@@ -3,6 +3,7 @@
 import ast
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -216,8 +217,8 @@ def test_table_writes_stdout_once_per_row(monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "bfile", "json"])
 def test_bfile_table_peaks_below_the_size_of_its_file(tmp_path, fmt):
     # Each row is made, formatted and written before the next, so neither
-    # the table nor the output is ever held whole.  ``rows`` and ``commands``
-    # are loaded already, so their imports are not traced.
+    # the table nor the output is ever held whole.  ``rows`` is loaded
+    # already, so its import is not traced.
     path = tmp_path / "anassa.txt"
     tracemalloc.start()
     try:
@@ -309,7 +310,7 @@ def test_main_leaves_the_collector_unfrozen(capsys):
     capsys.readouterr()
 
 
-# The last two are refusals raised outside ``cli``, by ``commands`` and ``verify``.
+# The last two are refusals raised outside ``cli``, by ``rows`` and ``verify``.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -552,6 +553,13 @@ def test_reader_reads_plain_argv_as_argparse_does_and_declines_the_rest(argv, re
 # --- imports: each subcommand loads only the layers it runs ---
 
 
+def test_each_subcommand_has_one_home_that_defines_its_handler():
+    assert cli.HOMES.keys() == cli.GRAMMAR.keys()
+    for name, home in cli.HOMES.items():
+        module = importlib.import_module(f"chesscount.{home}")
+        assert callable(vars(module).get(f"_cmd_{name}")), (name, home)
+
+
 def modules_after(code):
     """The names in ``sys.modules`` after a fresh interpreter runs ``code``.
 
@@ -572,8 +580,8 @@ def _request(package, *argv):
 
 
 COUNT = {"cli", "formulas", "kernel"}
-TABLE = {"cli", "commands", "rows", "kernel"}
-COEFFS = {"cli", "commands", "quasipoly", "kernel"}
+TABLE = {"cli", "rows", "poly"}
+COEFFS = {"cli", "quasipoly", "kernel", "poly"}
 
 # Each request and exactly the package modules it loads.  A request in plain
 # form loads neither ``commands`` nor argparse, and no layer it does not run.
@@ -589,8 +597,11 @@ MODULE_SETS = [
         for fmt in ("csv", "tsv", "bfile", "json")
         for piece in ("bishop", "anassa")
     ),
+    _request(TABLE, "table", "bishop", "6", "--rect"),
+    _request(TABLE, "table", "anassa", "6", "--format", "bfile", "--offset", "3"),
     _request(COEFFS, "coeffs", "bishop", "3"),
     _request(COEFFS, "coeffs", "anassa", "3", "--format", "json"),
+    _request(COEFFS, "coeffs", "anassa", "3", "--format", "tsv"),
     pytest.param("import chesscount", set(), id="import-chesscount"),
     pytest.param(
         "from chesscount import verify\n"
@@ -631,18 +642,21 @@ def test_each_request_loads_exactly_its_layers(code, package):
 # ``cli`` and ``verify``: no ``commands``, and no suite module it does not run.
 # The oracle suite takes its bounds from its own search, so it loads no ``rows``.
 VERIFY_LAYERS = [
-    (["verify", "oracle", "--m-max", "4"], {"verify_board", "formulas", "kernel", "board"}),
+    (["verify", "oracle", "--m-max", "4"], {"verify_board", "formulas", "kernel", "board", "poly"}),
     (["verify", "collapse", "--m-max", "4"], {"verify_board", "board"}),
     (
         ["verify", "identities", "--m-max", "2", "--k-max", "1"],
-        {"verify_identities", "formulas", "rows", "kernel"},
+        {"verify_identities", "formulas", "rows", "kernel", "poly"},
     ),
-    (["verify", "coeffs", "--k-max", "2"], {"verify_coeffs", "formulas", "quasipoly", "kernel"}),
+    (
+        ["verify", "coeffs", "--k-max", "2"],
+        {"verify_coeffs", "formulas", "quasipoly", "kernel", "poly"},
+    ),
     (
         ["verify", "all", "--k-max", "2"],
         {
             "verify_board", "verify_identities", "verify_coeffs",
-            "formulas", "rows", "kernel", "board", "quasipoly",
+            "formulas", "rows", "kernel", "board", "quasipoly", "poly",
         },
     ),
 ]
@@ -726,7 +740,7 @@ def test_verify_output_is_frozen(capsys):
 
 @pytest.mark.parametrize("route", ["white_rooks_alt", "black_rooks_alt"])
 def test_verify_reports_failures(monkeypatch, capsys, route):
-    monkeypatch.setattr(f"chesscount.rows.{route}", lambda m, k: -7)
+    monkeypatch.setattr(f"chesscount.verify_identities.{route}", lambda m, k: -7)
     assert cli.main(["verify", "identities", "--m-max", "4", "--k-max", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  bishop counts: three routes agree" in out

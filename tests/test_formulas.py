@@ -327,7 +327,7 @@ def test_anassa_table_does_not_build_split_triangles(monkeypatch):
     def refuse(m_max):
         raise AssertionError("count_table summed the split triangles")
 
-    monkeypatch.setattr("chesscount.rows.anassa_split_rows", refuse)
+    monkeypatch.setattr("chesscount.verify_identities.anassa_split_rows", refuse)
     *_, last = count_table("anassa", 30)
     assert last == tuple(anassas(30, k) for k in range(31))
     assert list(count_table("anassa", 30, rect=True))[2] == (1, 4, 3) + (0,) * 28
