@@ -12,8 +12,8 @@ The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
 plain form from it directly, and imports :mod:`chesscount.commands`, with
 the argparse parser that reads every other argv, only for those, so
 argparse loads only for help, usage errors and refusals.  Each handler sits
-in the module that ``HOMES`` names, beside the routes it runs, and ``main``
-loads only that module, so a request compiles no other handler.
+in the module that its ``GRAMMAR`` entry names, beside the routes it runs,
+and ``main`` loads only that module, so a request compiles no other handler.
 ``run`` is the process entry: ``python -m chesscount`` and the installed
 ``chesscount`` script, the only two entries, both call it.
 """
@@ -34,11 +34,12 @@ def _format(*choices: str) -> tuple[str, dict]:
     return "--format", {"choices": choices, "default": "csv", "help": "output format (default: csv)"}
 
 
-# Each subcommand's summary and arguments: a name and the keywords argparse
-# takes for it, options in the order ``--help`` lists them.  ``_read`` knows
-# the keywords used here: choices, type, default and action="store_true".
+# Each subcommand's home, the sibling module that defines its handler
+# ``_cmd_<name>``; its summary; and its arguments: a name and the keywords
+# argparse takes for it, options in the order ``--help`` lists them.  ``_read``
+# knows the keywords used here: choices, type, default and action="store_true".
 GRAMMAR = {
-    "count": ("one closed-form count", [
+    "count": ("formulas", "one closed-form count", [
         _format("csv", "tsv", "json"),
         _OUT,
         _PIECE,
@@ -49,7 +50,7 @@ GRAMMAR = {
             "help": "anassa only: count placements with exactly P pieces below the main diagonal",
         }),
     ]),
-    "table": ("triangle of counts for m = 0..M", [
+    "table": ("rows", "triangle of counts for m = 0..M", [
         _format("csv", "tsv", "bfile", "json"),
         _OUT,
         _PIECE,
@@ -63,13 +64,13 @@ GRAMMAR = {
             "help": "starting index for bfile output (default: 0; only with --format bfile)",
         }),
     ]),
-    "coeffs": ("quasipolynomial coefficients for fixed k", [
+    "coeffs": ("quasipoly", "quasipolynomial coefficients for fixed k", [
         _format("csv", "tsv", "json"),
         _OUT,
         _PIECE,
         ("k", {"type": int, "help": "number of pieces"}),
     ]),
-    "verify": ("run self-check suites", [
+    "verify": ("verify", "run self-check suites", [
         _OUT,
         ("suite", {"choices": ("oracle", "identities", "collapse", "coeffs", "all")}),
         ("--m-max", {"type": int, "default": None, "help": "override board-size bound"}),
@@ -96,7 +97,7 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
         return None
     fields: dict[str, object] = {"command": argv[0]}
     positionals, options = [], {}
-    for name, keywords in GRAMMAR[argv[0]][1]:
+    for name, keywords in GRAMMAR[argv[0]][2]:
         if name.startswith("-"):
             dest = name[2:].replace("-", "_")
             options[name] = dest, keywords
@@ -172,14 +173,6 @@ def _json(value: object) -> str:
     return f'"{value}"'
 
 
-# Where each subcommand's handler lives: ``_cmd_<name>`` in the sibling module
-# named here, beside the routes it runs.  The handlers are private because
-# bench/tracer.py wraps each layer's public names and opens a span only where
-# a call crosses layers: a public handler would turn the calls it makes into
-# its own layer into calls inside that layer, and their spans would vanish.
-HOMES = {"count": "formulas", "table": "rows", "coeffs": "quasipoly", "verify": "verify"}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
@@ -187,7 +180,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         from .commands import _parse  # argparse, for help, usage errors and any other argv
 
         args = _parse(argv)
-    home = importlib.import_module(f"{__package__}.{HOMES[args.command]}")
+    # The handlers are private because bench/tracer.py wraps each layer's
+    # public names and opens a span only where a call crosses layers: a public
+    # handler would turn the calls it makes into its own layer into calls
+    # inside that layer, and their spans would vanish.
+    home = importlib.import_module(f"{__package__}.{GRAMMAR[args.command][0]}")
     handler = getattr(home, f"_cmd_{args.command}")
     # Counts may pass the default cap on printing long integers.  It is lifted
     # only while the handler runs, so argv, here and in later calls, keeps it.

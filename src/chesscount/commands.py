@@ -3,7 +3,7 @@
 :mod:`chesscount.cli` imports this module only for help, usage errors, argv
 that is not in plain form, and the refusals it reports with a subcommand's
 usage.  So a request in plain form compiles none of it, and loads no
-argparse; every handler sits in the module that ``cli.HOMES`` names.
+argparse; ``cli.GRAMMAR`` names the module of every handler.
 """
 
 from collections.abc import Sequence
@@ -21,7 +21,7 @@ def build_parser():
         description="Exact counts of nonattacking bishop and anassa placements on m x m boards.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, arguments) in GRAMMAR.items():
+    for name, (_, summary, arguments) in GRAMMAR.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(parser=p)
         for argument, keywords in arguments:

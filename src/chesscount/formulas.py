@@ -101,7 +101,7 @@ def count(piece: str, m: int, k: int) -> int:
 
 
 def _cmd_count(args: SimpleNamespace) -> int:
-    """The ``count`` handler, which ``cli.main`` finds through ``cli.HOMES``."""
+    """The ``count`` handler, which ``cli.main`` finds through its ``cli.GRAMMAR`` entry."""
     from .cli import _emit, _json, _UsageError
 
     if args.k < 0:

@@ -192,7 +192,7 @@ def divide_by_falling_factorial(
 
 
 def _cmd_coeffs(args: SimpleNamespace) -> int:
-    """The ``coeffs`` handler, which ``cli.main`` finds through ``cli.HOMES``."""
+    """The ``coeffs`` handler, which ``cli.main`` finds through its ``cli.GRAMMAR`` entry."""
     from .cli import _SEPARATORS, _emit, _json, _UsageError
 
     if args.k < 0:

@@ -133,7 +133,7 @@ def _table_json(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Itera
 
 
 def _cmd_table(args: SimpleNamespace) -> int:
-    """The ``table`` handler, which ``cli.main`` finds through ``cli.HOMES``."""
+    """The ``table`` handler, which ``cli.main`` finds through its ``cli.GRAMMAR`` entry."""
     from .cli import _SEPARATORS, _emit, _UsageError
 
     if args.m_max < 0:

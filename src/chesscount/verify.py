@@ -78,7 +78,7 @@ def run_suite(name: str, m_max: int | None = None, k_max: int | None = None) -> 
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
-    """The ``verify`` handler, which ``cli.main`` finds through ``cli.HOMES``."""
+    """The ``verify`` handler, which ``cli.main`` finds through its ``cli.GRAMMAR`` entry."""
     from .cli import _emit, _UsageError
 
     try:

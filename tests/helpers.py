@@ -1,15 +1,55 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and the plumbing the tests share.
 
 Nothing here imports the package under test: values produced by these
 helpers come from separate routes (formal power series, set-partition
 enumeration, exact interpolation, pairwise attack tests), so agreement is
-meaningful.
+meaningful.  The plumbing is :func:`child_env` and :func:`run_cli`, which
+start a child process on the package in ``src``, and :func:`uncapped`, which
+lets this process print integers of any length.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment, with ``src`` first on ``PYTHONPATH``, for a child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args: str, stdout=subprocess.PIPE, preexec_fn=None) -> subprocess.CompletedProcess:
+    """``python -m chesscount *args`` in a child process; its stdout and stderr as bytes."""
+    return subprocess.run(
+        [sys.executable, "-m", "chesscount", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+        preexec_fn=preexec_fn,
+    )
+
+
+@contextmanager
+def uncapped() -> Iterator[None]:
+    """Lift the interpreter's cap on int-to-text conversion inside the block, where it has one."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 def extended_pascal_grid(lo: int, hi: int) -> dict[tuple[int, int], int]:

@@ -6,11 +6,7 @@ tolerances anywhere.  Batteries that a ``verify`` group already runs are
 read from the session fixture in conftest.py rather than written again.
 """
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 from chesscount import (
     BISHOP_MOVES,
@@ -20,9 +16,7 @@ from chesscount import (
     placement_counts,
     square_board,
 )
-from helpers import binomial_basis_to_monomials
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import binomial_basis_to_monomials, run_cli
 
 
 def _report(number: int, description: str, failures: list):
@@ -130,28 +124,18 @@ def test_criterion_8_identity_battery(verify_suite):
 
 def test_criterion_9_cli_determinism():
     failures = []
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "chesscount", *args],
-            capture_output=True,
-            env=env,
-        )
-
     for args in (
         ("table", "bishop", "8", "--format", "bfile"),
         ("table", "anassa", "8", "--format", "csv"),
         ("coeffs", "bishop", "3", "--format", "json"),
         ("coeffs", "anassa", "4", "--format", "csv"),
     ):
-        first, second = run(*args), run(*args)
+        first, second = run_cli(*args), run_cli(*args)
         if first.returncode or second.returncode:
             failures.append(("exit", args))
         elif first.stdout != second.stdout or not first.stdout:
             failures.append(("bytes", args))
-    verdict = run("verify", "all")
+    verdict = run_cli("verify", "all")
     if verdict.returncode != 0:
         failures.append(("verify all", verdict.returncode, verdict.stdout[-400:]))
     _report(9, "CLI output byte-identical across runs; verify all exits 0", failures)

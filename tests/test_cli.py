@@ -11,7 +11,6 @@ import resource
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -19,29 +18,17 @@ from chesscount import (
     anassa_quasipolynomial,
     anassas_split,
     bishop_quasipolynomial,
+    board,
     cli,
     commands,
     count,
     count_table,
     effective_period,
+    verify,
 )
-from helpers import read_bfile
+from helpers import SRC, child_env, read_bfile, run_cli, uncapped
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
-
-
-def run_cli(*args, preexec_fn=None, stdout=subprocess.PIPE):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "chesscount", *args],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        env=env,
-        text=False,
-        preexec_fn=preexec_fn,
-    )
+ROOT = SRC.parent
 
 
 # --- count ---
@@ -66,12 +53,7 @@ def test_counts_past_the_int_text_cap_print():
     # 1700! has 4,760 digits, past the interpreter's default cap of 4,300 on
     # int-to-text conversion.  The CLI runs in a child with the default cap;
     # this process lifts it only to write the answer.
-    if hasattr(sys, "set_int_max_str_digits"):  # the cap came in patch releases
-        cap = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        value = str(math.factorial(1700))
-        sys.set_int_max_str_digits(cap)
-    else:
+    with uncapped():
         value = str(math.factorial(1700))
     payload = f'{{"piece": "anassa", "m": -1, "k": 1700, "count": {value}}}\n'
     for fmt, want in (("csv", f"{value}\n"), ("json", payload)):
@@ -93,18 +75,6 @@ def test_argv_stays_capped_after_a_call(capsys):
     assert exited.value.code == 2
     assert sys.get_int_max_str_digits() == cap
     capsys.readouterr()
-
-
-def _dumps_uncapped(payload):
-    """``json.dumps(payload)``, with the int-to-text cap lifted for counts past 4,300 digits."""
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return json.dumps(payload)
-    finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(cap)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +100,8 @@ def test_count_json_is_the_bytes_of_json_dumps(piece, m, k, below, capsys):
         payload["below"] = below
         payload["count"] = anassas_split(m, k, below)
     assert cli.main(argv) == 0
-    assert capsys.readouterr().out == _dumps_uncapped(payload) + "\n"
+    with uncapped():
+        assert capsys.readouterr().out == json.dumps(payload) + "\n"
 
 
 @pytest.mark.parametrize("piece", ["bishop", "anassa"])
@@ -245,8 +216,7 @@ def test_table_json_is_the_bytes_of_json_dumps(piece, capsys):
 def test_closed_pipe_exits_1_without_a_traceback(fmt, unbuffered):
     # The table runs to megabytes, far past what the pipe buffers, so the
     # child meets the closed pipe on a write, not only at its exit flush.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -293,8 +263,7 @@ def test_entry_freezes_and_still_runs_atexit_handlers(argv, code, out):
         f"sys.argv = ['chesscount', *{argv!r}]\n"
         "sys.exit(cli.run())\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=child_env())
     assert done.returncode == code
     assert done.stdout == out
     *_, last = done.stderr.decode().splitlines()
@@ -406,58 +375,14 @@ def test_out_failure_reports_path_and_cause(tmp_path, capsys):
     assert str(target) in err and "cannot write" in err
 
 
-# --- usage errors exit with status 2 ---
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["count", "queen", "4", "1"],
-        ["count", "bishop", "4", "-1"],
-        ["count", "bishop", "4", "2", "--below", "1"],
-        ["count", "anassa", "4", "2", "--below", "-1"],
-        ["count", "bishop", "4", "2", "--format", "bfile"],
-        ["coeffs", "bishop", "-2"],
-        ["coeffs", "bishop", "2", "--format", "bfile"],
-        ["table", "bishop", "-3"],
-        ["table", "bishop", "4", "--format", "yaml"],
-        ["table", "bishop", "3", "--offset", "5"],
-        ["verify", "everything"],
-        ["verify", "identities", "--m-max", "-1"],
-        ["verify", "coeffs", "--k-max", "-1"],
-        ["verify", "oracle", "--k-max", "3"],
-        ["verify", "coeffs", "--m-max", "2"],
-        ["verify", "collapse", "--m-max", "3", "--format", "json"],
-    ],
-)
-def test_usage_errors(argv, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(argv)
-    assert excinfo.value.code == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "oracle", "--k-max", "3"],
-        ["verify", "collapse", "--m-max", "3", "--format", "json"],
-        ["count", "bishop", "3", "2", "--bogus"],
-    ],
-)
-def test_usage_error_shows_the_subcommands_usage(argv, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(argv)
-    assert excinfo.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"usage: chesscount {argv[0]}")
+# --- usage errors exit with status 2 and print the subcommand's usage ---
 
 
 # SHA-256 of [exit code, stdout, stderr] as JSON, at 80 columns, that each
 # argv printed when the CLI still read every request with argparse.
 # argparse's wording changes between Python versions, so the digests hold
-# only for the version they were taken under.
+# only for the version they were taken under; every line but the help
+# requests is also a usage error checked on every version.
 ARGPARSE_ONLY_SHA256 = {
     "--help": "5e431a1cbc53e58cfdf8e789e2aacb322f5b1228c422930f2525e7ef02ccfd2d",
     "count --help": "d39f95824b9f1865efadcff80b6dca58c21623f909913bac268b7d2a283905d7",
@@ -482,6 +407,18 @@ ARGPARSE_ONLY_SHA256 = {
     "verify collapse --m-max 3 --format json": "2758a0b97516ddb65efbfed2321dfddb8ebc79e868529dc28cb51d556c3b785c",
     "count bishop 3 2 --bogus": "e496e2496297f273dd4b8dc776a8410a77d2d4e60bfe0dbfe5980a04ae8c0cd8",
 }
+
+
+@pytest.mark.parametrize(
+    "argv", [line.split() for line in ARGPARSE_ONLY_SHA256 if "--help" not in line]
+)
+def test_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: chesscount {argv[0]}")
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests taken under Python 3.11")
@@ -554,10 +491,18 @@ def test_reader_reads_plain_argv_as_argparse_does_and_declines_the_rest(argv, re
 
 
 def test_each_subcommand_has_one_home_that_defines_its_handler():
-    assert cli.HOMES.keys() == cli.GRAMMAR.keys()
-    for name, home in cli.HOMES.items():
+    for name, (home, _, _) in cli.GRAMMAR.items():
         module = importlib.import_module(f"chesscount.{home}")
         assert callable(vars(module).get(f"_cmd_{name}")), (name, home)
+
+
+def test_the_grammars_copied_lists_match_their_owners():
+    # cli spells out the pieces and the suites, as importing board or verify
+    # would compile them on every request.
+    arguments = {name: dict(entry[2]) for name, entry in cli.GRAMMAR.items()}
+    for name in ("count", "table", "coeffs"):
+        assert arguments[name]["piece"]["choices"] == tuple(board.PIECES), name
+    assert arguments["verify"]["suite"]["choices"] == (*verify.SUITES, "all")
 
 
 def modules_after(code):
@@ -565,10 +510,9 @@ def modules_after(code):
 
     ``-S`` skips ``site``, so no ``.pth`` file preloads modules of its own.
     """
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     script = f"import sys\n{code}\nprint(sorted(sys.modules))"
     result = subprocess.run(
-        [sys.executable, "-S", "-c", script], capture_output=True, env=env, text=True
+        [sys.executable, "-S", "-c", script], capture_output=True, env=child_env(), text=True
     )
     assert result.returncode == 0, result.stderr
     return set(ast.literal_eval(result.stdout.splitlines()[-1]))

@@ -1,12 +1,13 @@
 """Every demo script and the README quick start run against the package in ``src``."""
 
 import doctest
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -14,9 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env)
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, env=child_env())
     assert done.returncode == 0, done.stderr.decode()[-2000:]
 
 

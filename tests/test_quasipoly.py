@@ -196,6 +196,8 @@ def test_one_constructor_gives_every_rook_and_bishop_vector():
 def test_one_constructor_rejects_negative_k():
     with pytest.raises(ValueError):
         rook_and_bishop_quasipolynomials(-1)
+    with pytest.raises(ValueError, match="piece count must be >= 0"):
+        anassa_coeffs(-1)
 
 
 def test_quasipolynomials_match_the_row_recurrences_at_large_m():

@@ -9,7 +9,9 @@ import ast
 import importlib
 import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -230,3 +232,28 @@ def test_rook_round_trip_names_the_broken_color(monkeypatch):
     group = next(r for r in suite_coeffs(3) if r.name == "one-color rook coefficient round trip")
     assert group.failures and group.failures[0].startswith("black k=2 m=5:")
     assert all(f.startswith("black ") for f in group.failures)
+
+
+def test_coefficient_structure_names_the_broken_k(monkeypatch):
+    divide, anassa = quasipoly.divide_by_falling_factorial, quasipoly.anassa_quasipolynomial
+
+    def indivisible_at_k2(vec, k):
+        if k == 2:
+            raise ArithmeticError("remainder 1")
+        return divide(vec, k)
+
+    def skewed_at_k2(k):
+        # m(m-1)/7 joins the vector: still divisible, the same lead and, by the
+        # true evaluate, the same values, but a denominator past (2k)! * 4^k.
+        qp = anassa(k)
+        vec = tuple(c + Fraction((i == 2) - (i == 1), 7) for i, c in enumerate(qp.coeffs[0]))
+        return qp if k != 2 else SimpleNamespace(coeffs=(vec,), evaluate=qp.evaluate)
+
+    for name, patch, want in (
+        ("divide_by_falling_factorial", indivisible_at_k2, "anassa k=2 not divisible"),
+        ("anassa_quasipolynomial", skewed_at_k2, "k=2: denominators"),
+    ):
+        with monkeypatch.context() as patched:
+            patched.setattr(quasipoly, name, patch)
+            group = next(r for r in suite_coeffs(3) if r.name.startswith("coefficient structure"))
+        assert len(group.failures) == 1 and group.failures[0].startswith(want), group.failures
