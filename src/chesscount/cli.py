@@ -9,9 +9,9 @@ verification or I/O failure (stdout included), 2 usage error.
 All output is deterministic: the same invocation produces the same bytes.
 
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
-plain form from it directly, and imports :mod:`chesscount.commands`, with
-the argparse parser that reads every other argv, only for those, so
-argparse loads only for help, usage errors and refusals.  Each handler sits
+plain form from it directly, and builds the argparse parser from it only
+for every other argv, so argparse loads only for help, usage errors and
+refusals.  Each handler sits
 in the module that its ``GRAMMAR`` entry names, beside the routes it runs,
 and ``main`` loads only that module, so a request compiles no other handler.
 ``run`` is the process entry: ``python -m chesscount`` and the installed
@@ -128,6 +128,32 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     return None if positionals else SimpleNamespace(**fields)
 
 
+def build_parser():
+    """The argparse parser for GRAMMAR, with each subcommand's parser as its ``parser`` default."""
+    import argparse  # only for help and usage errors
+
+    parser = argparse.ArgumentParser(
+        prog="chesscount",
+        description="Exact counts of nonattacking bishop and anassa placements on m x m boards.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary, arguments) in GRAMMAR.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(parser=p)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
+    return parser
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` with argparse; help and usage errors print and exit there."""
+    args, extra = build_parser().parse_known_args(argv, SimpleNamespace())
+    # Each subcommand's parser, so a usage error prints that subcommand's usage.
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 _SEPARATORS = {"csv": ",", "tsv": "\t"}  # of each row's values, in the delimited formats
 
 
@@ -175,11 +201,7 @@ def _json(value: object) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read(argv)
-    if args is None:
-        from .commands import _parse  # argparse, for help, usage errors and any other argv
-
-        args = _parse(argv)
+    args = _read(argv) or _parse(argv)  # argparse, for help, usage errors and any other argv
     # The handlers are private because bench/tracer.py wraps each layer's
     # public names and opens a span only where a call crosses layers: a public
     # handler would turn the calls it makes into its own layer into calls
@@ -194,8 +216,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return handler(args)
     except _UsageError as exc:
-        from .commands import _parse
-
         # argparse reads the argv again only to report the refusal with the
         # subcommand's usage, as it reports its own errors.
         _parse(argv).parser.error(str(exc))

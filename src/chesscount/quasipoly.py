@@ -197,8 +197,8 @@ def _cmd_coeffs(args: SimpleNamespace) -> int:
 
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
-    if args.piece == "bishop":
-        qp = bishop_quasipolynomial(args.k)
+    if args.piece == "bishop":  # the vector that ``verify coeffs`` reads
+        qp = rook_and_bishop_quasipolynomials(args.k)[2]
     else:
         qp = anassa_quasipolynomial(args.k)
     period = effective_period(qp.coeffs)

@@ -20,7 +20,6 @@ from chesscount import (
     bishop_quasipolynomial,
     board,
     cli,
-    commands,
     count,
     count_table,
     effective_period,
@@ -445,7 +444,7 @@ def argparse_fields(parser, argv):
 
 
 def test_reader_reads_every_benchmark_request_as_argparse_does():
-    parser = commands.build_parser()
+    parser = cli.build_parser()
     pins = json.loads((ROOT / "bench" / "pins.json").read_text())["pins"]
     for line in pins:
         request = cli._read(line.split())
@@ -484,7 +483,7 @@ def test_reader_reads_plain_argv_as_argparse_does_and_declines_the_rest(argv, re
     if not read:
         assert request is None
     else:
-        assert vars(request) == argparse_fields(commands.build_parser(), argv)
+        assert vars(request) == argparse_fields(cli.build_parser(), argv)
 
 
 # --- imports: each subcommand loads only the layers it runs ---
@@ -528,7 +527,7 @@ TABLE = {"cli", "rows", "poly"}
 COEFFS = {"cli", "quasipoly", "kernel", "poly"}
 
 # Each request and exactly the package modules it loads.  A request in plain
-# form loads neither ``commands`` nor argparse, and no layer it does not run.
+# form loads no argparse, and no layer it does not run.
 # The ``verify`` requests are pinned in ``VERIFY_LAYERS`` below.
 MODULE_SETS = [
     _request(COUNT, "count", "bishop", "8", "2"),
@@ -583,7 +582,7 @@ def test_each_request_loads_exactly_its_layers(code, package):
 
 
 # Each ``verify`` request and the suite module and layers it loads besides
-# ``cli`` and ``verify``: no ``commands``, and no suite module it does not run.
+# ``cli`` and ``verify``: no suite module it does not run.
 # The oracle suite takes its bounds from its own search, so it loads no ``rows``.
 VERIFY_LAYERS = [
     (["verify", "oracle", "--m-max", "4"], {"verify_board", "formulas", "kernel", "board", "poly"}),

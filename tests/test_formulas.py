@@ -247,11 +247,6 @@ def test_counts_far_past_capacity_are_zero():
     assert time.perf_counter() - start < 10
 
 
-def test_anassa_diagonal_two_summations():
-    assert anassas_diagonal(2) == (3, 3)
-    assert anassas_diagonal(0) == (1, 1)
-
-
 def test_anassa_validation():
     with pytest.raises(ValueError):
         anassas(3, -1)

@@ -169,13 +169,6 @@ def test_bishop_coeffs_frozen_vectors():
     assert bishop_quasipolynomial(1).coeffs == ((0, 0, 1), (0, 0, 1))
 
 
-def test_bishop_two_piece_coeffs_equal_quartic_expansion():
-    # Independent expansion of 12 C(m,4) + 14 C(m,3) + 4 C(m,2).
-    want = binomial_basis_to_monomials([0, 0, 4, 14, 12])
-    assert want == [Fraction(0), Fraction(-1, 3), Fraction(1, 2), Fraction(-2, 3), Fraction(1, 2)]
-    assert bishop_quasipolynomial(2).coeffs == (tuple(want), tuple(want))
-
-
 def test_bishop_coeffs_match_interpolation():
     for k in (*range(13), 20):
         bishop = bishop_quasipolynomial(k)
@@ -262,11 +255,6 @@ def test_class_vectors_equal_the_backward_recurrences_at_negative_board_sizes():
 def test_bishop_coeffs_leading_term():
     for k in range(6):
         assert bishop_quasipolynomial(k).coeffs[0][2 * k] == Fraction(1, math.factorial(k))
-
-
-def test_bishop_periods():
-    for k, want in ((0, 1), (1, 1), (2, 1), (3, 2), (4, 2), (5, 2)):
-        assert effective_period(bishop_quasipolynomial(k).coeffs) == want, k
 
 
 # --- anassa coefficients ---

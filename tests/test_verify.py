@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chesscount import board, formulas, kernel, quasipoly, verify, verify_identities
+from chesscount import board, cli, formulas, kernel, quasipoly, rows, verify, verify_identities
 from chesscount.verify import SUITES
 from chesscount.verify_board import suite_oracle
 from chesscount.verify_coeffs import suite_coeffs
@@ -257,3 +257,80 @@ def test_coefficient_structure_names_the_broken_k(monkeypatch):
             patched.setattr(quasipoly, name, patch)
             group = next(r for r in suite_coeffs(3) if r.name.startswith("coefficient structure"))
         assert len(group.failures) == 1 and group.failures[0].startswith(want), group.failures
+
+
+def _plus_one(row):
+    """The row with its last entry one too large."""
+    return (*row[:-1], row[-1] + 1)
+
+
+def _rows_off(route, *args, **kwargs):
+    return map(_plus_one, route(*args, **kwargs))
+
+
+def _table_off(piece):
+    def wrong(route, p, *args, **kwargs):
+        table = route(p, *args, **kwargs)
+        return map(_plus_one, table) if p == piece else table
+
+    return wrong
+
+
+def _shifted(qp):
+    """The quasipolynomial with each constant term one too large."""
+    return quasipoly.QuasiPolynomial(tuple((vec[0] + 1, *vec[1:]) for vec in qp.coeffs))
+
+
+def _bishop_off(route, k):
+    white, black, bishop = route(k)
+    return white, black, _shifted(bishop)
+
+
+# Each route whose value a handler prints: the module and name it is read
+# through, the wrong route given the right one, and a request that prints it.
+# Exempt, with the reason:
+# - ``formulas.count``: verify calls the closed forms by name, never through
+#   the dispatcher that ``count`` prints, so the two stay independent;
+# - ``rows.max_pieces``: it only sets the ``table --rect`` padding, which no
+#   group reads yet;
+# - the ``board`` routes: they are the oracle's side of every comparison.
+PRINTED_ROUTES = [
+    pytest.param(rows, "rook_rows", _rows_off, "table bishop 3", id="rook_rows"),
+    pytest.param(
+        rows, "convolve", lambda route, *args: _plus_one(route(*args)), "table bishop 3",
+        id="convolve",
+    ),
+    pytest.param(rows, "anassa_rows", _rows_off, "table anassa 3", id="anassa_rows"),
+    *(
+        pytest.param(
+            rows, "count_table", _table_off(piece), f"table {piece} 3", id=f"count_table-{piece}"
+        )
+        for piece in ("bishop", "anassa")
+    ),
+    pytest.param(
+        quasipoly, "rook_and_bishop_quasipolynomials", _bishop_off, "coeffs bishop 2",
+        id="bishop_quasipolynomial",
+    ),
+    pytest.param(
+        quasipoly, "anassa_quasipolynomial", lambda route, k: _shifted(route(k)), "coeffs anassa 2",
+        id="anassa_quasipolynomial",
+    ),
+    pytest.param(
+        quasipoly, "effective_period", lambda route, vectors: route(vectors) + 1,
+        "coeffs bishop 2", id="effective_period",
+    ),
+]
+
+
+@pytest.mark.parametrize("module, name, wrong, argv", PRINTED_ROUTES)
+def test_verify_all_fails_on_a_wrong_printed_route(capsys, monkeypatch, module, name, wrong, argv):
+    # ``verify all`` is the user's check of what the CLI prints, so it must
+    # read every route that a handler prints, not only the closed forms.
+    # The request shows that the handler prints the route patched here.
+    assert cli.main(argv.split()) == 0
+    right = capsys.readouterr().out
+    route = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: wrong(route, *args, **kwargs))
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out != right
+    assert not all(r.ok for r in verify.run_suite("all"))
