@@ -11,9 +11,10 @@ All output is deterministic: the same invocation produces the same bytes.
 The grammar is declared once, in ``GRAMMAR``.  ``main`` reads a request in
 plain form from it directly, and builds the argparse parser from it only
 for every other argv, so argparse loads only for help, usage errors and
-refusals.  Each handler sits
-in the module that its ``GRAMMAR`` entry names, beside the routes it runs,
-and ``main`` loads only that module, so a request compiles no other handler.
+refusals.  Each handler sits in the module that its ``GRAMMAR`` entry
+names, beside the routes it runs, and ``main`` loads only that module, so
+a request compiles no other handler.  A handler refuses by raising
+``_UsageError`` or returns its text and exit status; ``main`` alone writes.
 ``run`` is the process entry: ``python -m chesscount`` and the installed
 ``chesscount`` script, the only two entries, both call it.
 """
@@ -209,12 +210,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     home = importlib.import_module(f"{__package__}.{GRAMMAR[args.command][0]}")
     handler = getattr(home, f"_cmd_{args.command}")
     # Counts may pass the default cap on printing long integers.  It is lifted
-    # only while the handler runs, so argv, here and in later calls, keeps it.
+    # only to run the handler and write its text, so argv, in later calls too, keeps it.
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return handler(args)
+        chunks, status = handler(args)  # a refusal raises here, before any write
+        return _emit(chunks, args.out) or status
     except _UsageError as exc:
         # argparse reads the argv again only to report the refusal with the
         # subcommand's usage, as it reports its own errors.

@@ -100,9 +100,9 @@ def count(piece: str, m: int, k: int) -> int:
     raise ValueError(f"unknown piece {piece!r}")
 
 
-def _cmd_count(args: SimpleNamespace) -> int:
-    """The ``count`` handler, which ``cli.main`` finds through its ``cli.GRAMMAR`` entry."""
-    from .cli import _emit, _json, _UsageError
+def _cmd_count(args: SimpleNamespace) -> tuple[list[str], int]:
+    """The ``count`` handler, found through ``cli.GRAMMAR``: the text to print, and status 0."""
+    from .cli import _json, _UsageError
 
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
@@ -119,5 +119,5 @@ def _cmd_count(args: SimpleNamespace) -> int:
         if args.below is not None:
             payload["below"] = args.below
         payload["count"] = value
-        return _emit([_json(payload) + "\n"], args.out)
-    return _emit([f"{value}\n"], args.out)
+        return [_json(payload) + "\n"], 0
+    return [f"{value}\n"], 0

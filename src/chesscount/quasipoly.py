@@ -86,8 +86,6 @@ def anassa_coeffs(k: int) -> list[Fraction]:
         alpha = ((bracket << (k - 2 * j + 1)) >> 1) * math.factorial(j)
         for p in range(k - j + 1):
             block = alpha * assoc_stirling2(p + k - j, p)
-            if not block:
-                continue
             for c in range(min(p, j) + 1):
                 weights[k + p - c] += block * math.comb(p, c) * math.comb(p - c + k, j - c)
     den = math.factorial(2 * k)
@@ -191,9 +189,9 @@ def divide_by_falling_factorial(
     return current
 
 
-def _cmd_coeffs(args: SimpleNamespace) -> int:
-    """The ``coeffs`` handler, which ``cli.main`` finds through its ``cli.GRAMMAR`` entry."""
-    from .cli import _SEPARATORS, _emit, _json, _UsageError
+def _cmd_coeffs(args: SimpleNamespace) -> tuple[list[str], int]:
+    """The ``coeffs`` handler, found through ``cli.GRAMMAR``: the text to print, and status 0."""
+    from .cli import _SEPARATORS, _json, _UsageError
 
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
@@ -210,6 +208,6 @@ def _cmd_coeffs(args: SimpleNamespace) -> int:
             "period": period,
             "coeffs": [[f"{c.numerator}/{c.denominator}" for c in vec] for vec in vectors],
         }
-        return _emit([_json(payload) + "\n"], args.out)
+        return [_json(payload) + "\n"], 0
     sep = _SEPARATORS[args.format]
-    return _emit((sep.join(map(str, vec)) + "\n" for vec in vectors), args.out)
+    return [sep.join(map(str, vec)) + "\n" for vec in vectors], 0

@@ -132,9 +132,9 @@ def _table_json(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Itera
     yield "]}\n"
 
 
-def _cmd_table(args: SimpleNamespace) -> int:
-    """The ``table`` handler, which ``cli.main`` finds through its ``cli.GRAMMAR`` entry."""
-    from .cli import _SEPARATORS, _emit, _UsageError
+def _cmd_table(args: SimpleNamespace) -> tuple[Iterator[str], int]:
+    """The ``table`` handler, found through ``cli.GRAMMAR``: rows made as written, and 0."""
+    from .cli import _SEPARATORS, _UsageError
 
     if args.m_max < 0:
         raise _UsageError(f"m_max must be >= 0, got {args.m_max}")
@@ -142,8 +142,8 @@ def _cmd_table(args: SimpleNamespace) -> int:
         raise _UsageError("--offset applies only to --format bfile")
     rows = count_table(args.piece, args.m_max, rect=args.rect)
     if args.format == "json":
-        return _emit(_table_json(args, rows), args.out)
+        return _table_json(args, rows), 0
     if args.format == "bfile":
-        return _emit(_table_bfile(args, rows), args.out)
+        return _table_bfile(args, rows), 0
     sep = _SEPARATORS[args.format]
-    return _emit((sep.join(map(str, row)) + "\n" for row in rows), args.out)
+    return (sep.join(map(str, row)) + "\n" for row in rows), 0

@@ -77,9 +77,9 @@ def run_suite(name: str, m_max: int | None = None, k_max: int | None = None) -> 
     return results
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
-    """The ``verify`` handler, which ``cli.main`` finds through its ``cli.GRAMMAR`` entry."""
-    from .cli import _emit, _UsageError
+def _cmd_verify(args: SimpleNamespace) -> tuple[list[str], int]:
+    """The ``verify`` handler, found through ``cli.GRAMMAR``: its report, 1 if a group is not ok."""
+    from .cli import _UsageError
 
     try:
         check_bounds(args.suite, args.m_max, args.k_max)
@@ -87,18 +87,12 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         raise _UsageError(str(exc)) from None
     results = run_suite(args.suite, m_max=args.m_max, k_max=args.k_max)
     lines = []
-    total_checks = sum(r.checks for r in results)
-    total_failures = sum(len(r.failures) for r in results)
     for r in results:
         if r.ok:
             lines.append(f"ok    {r.name} ({r.checks} checks)")
         else:
             lines.append(f"FAIL  {r.name} ({r.checks} checks, {len(r.failures)} failed)")
             lines.extend(f"      {failure}" for failure in r.failures or ["no checks"])
-    lines.append(
-        f"summary: {len(results)} check groups, {total_checks} checks, {total_failures} failures"
-    )
-    status = _emit(["\n".join(lines) + "\n"], args.out)
-    if status:
-        return status
-    return 0 if all(r.ok for r in results) else 1
+    checks, failures = sum(r.checks for r in results), sum(len(r.failures) for r in results)
+    lines.append(f"summary: {len(results)} check groups, {checks} checks, {failures} failures")
+    return ["\n".join(lines) + "\n"], 0 if all(r.ok for r in results) else 1

@@ -330,6 +330,24 @@ def test_every_launch_calls_the_one_entry():
     assert f"chesscount.cli:{call.args[0].func.id}" == scripts["chesscount"]
 
 
+def test_cli_main_alone_writes():
+    # Each handler returns its text and exit status, and ``cli.main`` writes
+    # them with the one call of ``_emit``: no other module imports or calls
+    # it, or reads the ``--out`` target.
+    emits, outs = [], []
+    for path in sorted((SRC / "chesscount").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_emit"
+                or isinstance(node, ast.alias) and node.name == "_emit"
+            ):
+                emits.append(path.name)
+            if isinstance(node, ast.Attribute) and node.attr == "out":
+                outs.append(path.name)
+    assert emits == ["cli.py"]
+    assert set(outs) == {"cli.py"}
+
+
 # --- coeffs ---
 
 
@@ -372,6 +390,27 @@ def test_out_failure_reports_path_and_cause(tmp_path, capsys):
     assert cli.main(["table", "bishop", "2", "--out", str(target)]) == 1
     err = capsys.readouterr().err
     assert str(target) in err and "cannot write" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "bishop", "3", "2", "--below", "1"],
+        ["table", "bishop", "3", "--offset", "5"],
+        ["table", "bishop", "-3"],
+        ["coeffs", "bishop", "-2"],
+        ["verify", "oracle", "--k-max", "3"],
+    ],
+    ids=" ".join,
+)
+def test_a_refusal_writes_nothing(argv, tmp_path, capsys):
+    # Each handler refuses before it returns any text, so ``--out`` is never opened.
+    target = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--out", str(target)])
+    assert excinfo.value.code == 2
+    assert not target.exists()
+    capsys.readouterr()
 
 
 # --- usage errors exit with status 2 and print the subcommand's usage ---

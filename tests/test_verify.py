@@ -291,8 +291,6 @@ def _bishop_off(route, k):
 # Exempt, with the reason:
 # - ``formulas.count``: verify calls the closed forms by name, never through
 #   the dispatcher that ``count`` prints, so the two stay independent;
-# - ``rows.max_pieces``: it only sets the ``table --rect`` padding, which no
-#   group reads yet;
 # - the ``board`` routes: they are the oracle's side of every comparison.
 PRINTED_ROUTES = [
     pytest.param(rows, "rook_rows", _rows_off, "table bishop 3", id="rook_rows"),
@@ -304,6 +302,13 @@ PRINTED_ROUTES = [
     *(
         pytest.param(
             rows, "count_table", _table_off(piece), f"table {piece} 3", id=f"count_table-{piece}"
+        )
+        for piece in ("bishop", "anassa")
+    ),
+    *(
+        pytest.param(
+            rows, "max_pieces", lambda route, p, m, piece=piece: route(p, m) + (p == piece),
+            f"table {piece} 3 --rect", id=f"max_pieces-{piece}",
         )
         for piece in ("bishop", "anassa")
     ),
