@@ -31,9 +31,8 @@ assert bishops(8, 1) == 64
 k = 3
 by_colors = sum(black_rooks(8, j) * white_rooks(8, k - j) for j in range(k + 1))
 # The rook counts also follow a recurrence that adds one board size at a
-# time; rook_rows yields each size's row of counts.
-*_, black_row = rook_rows(8, "black")
-*_, white_row = rook_rows(8, "white")
+# time; rook_rows yields each size's (white, black) rows of counts.
+*_, (white_row, black_row) = rook_rows(8)
 by_rows = sum(black_row[j] * white_row[k - j] for j in range(k + 1))
 assert by_colors == bishops(8, k) == by_rows
 print(f"\ncolor-class convolution reproduces bishops(8, {k}) = {by_colors}")

@@ -2,8 +2,9 @@
 
 Binomial coefficients and Stirling-family numbers, extended to negative
 arguments where a consistent extension exists, and the integer
-basis-change rows behind the quasipolynomial coefficients.  Polynomial
-products are in :mod:`chesscount.poly`.
+basis-change rows behind the quasipolynomial coefficients.  Each Stirling
+family reads one grow-on-demand table that answers 0 off its triangle.
+Polynomial products are in :mod:`chesscount.poly`.
 Everything here is exact: no floats, no overflow, ``int`` in, ``int`` out.
 """
 
@@ -70,8 +71,9 @@ def _basis_change_rows(q: int, z: int, p_max: int) -> Iterator[list[int]]:
 class _Diagonals:
     """Grow-on-demand table of G(t, c) = a(t, c)*G(t-1, c) + b(t, c)*G(t, c-1).
 
-    G(0, 0) = 1 and G = 0 at t = -1 or c = -1; ``coeffs(t, c)`` returns the
-    pair (a, b).  Diagonal t holds G(t, 0), G(t, 1), ...  A miss at (t, c)
+    G(0, 0) = 1, and G = 0 off the triangle (t < 0 or c < 0), which ``at``
+    answers without growing the table; ``coeffs(t, c)`` returns the pair
+    (a, b).  Diagonal t holds G(t, 0), G(t, 1), ...  A miss at (t, c)
     extends diagonals 0..t to column c, so a lookup builds O(t*c) entries.
     Entries are only appended.  The table takes no lock: nothing in the
     package reads it from more than one thread.
@@ -82,6 +84,8 @@ class _Diagonals:
         self._coeffs = coeffs
 
     def at(self, t: int, c: int) -> int:
+        if t < 0 or c < 0:
+            return 0
         diags = self._diags
         if t >= len(diags) or c >= len(diags[t]):
             while len(diags) <= t:
@@ -113,13 +117,9 @@ def stirling2(n: int, k: int) -> int:
     table continues as unsigned first-kind numbers, S(n,k) = c(-k, -n); mixed
     signs give 0.
     """
-    if n >= 0:
-        if k < 0 or k > n:
-            return 0
-        return _STIRLING2.at(n - k, k)
-    if k < 0:
-        return stirling1_unsigned(-k, -n)
-    return 0
+    if n < 0:
+        return stirling1_unsigned(-k, -n) if k < 0 else 0
+    return _STIRLING2.at(n - k, k)
 
 
 def stirling1_unsigned(n: int, k: int) -> int:
@@ -131,8 +131,6 @@ def stirling1_unsigned(n: int, k: int) -> int:
     """
     if n < 0:
         raise ValueError(f"first-kind Stirling numbers need n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
     return _STIRLING1.at(n - k, k)
 
 
@@ -145,6 +143,4 @@ def assoc_stirling2(m: int, k: int) -> int:
     """
     if m < 0:
         raise ValueError(f"associated Stirling numbers need m >= 0, got {m}")
-    if k < 0 or 2 * k > m:
-        return 0
     return _ASSOC.at(m - 2 * k, k)

@@ -195,10 +195,8 @@ def _cmd_coeffs(args: SimpleNamespace) -> tuple[list[str], int]:
 
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
-    if args.piece == "bishop":  # the vector that ``verify coeffs`` reads
-        qp = rook_and_bishop_quasipolynomials(args.k)[2]
-    else:
-        qp = anassa_quasipolynomial(args.k)
+    route = bishop_quasipolynomial if args.piece == "bishop" else anassa_quasipolynomial
+    qp = route(args.k)
     period = effective_period(qp.coeffs)
     vectors = qp.coeffs[:period]
     if args.format == "json":

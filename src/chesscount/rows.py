@@ -3,7 +3,8 @@
 The recurrences reach the counts of :mod:`chesscount.formulas` another
 way, so that the self-checks can compare the two; ``table`` and the
 ``identities`` suite import this module, and ``count`` does not.  They are
-generators that keep only the current row and feed :func:`count_table`.
+generators that keep only the current row and feed :func:`count_table`;
+the rook rows of both colors come from one call, as (white, black) pairs.
 Anassa tables come from a three-term recurrence on the totals
 (:func:`anassa_rows`).  The routes that only the self-checks read are in
 :mod:`chesscount.verify_identities`, so a ``table`` request compiles none
@@ -16,31 +17,32 @@ from types import SimpleNamespace
 from .poly import convolve
 
 
-def rook_rows(m_max: int, color: str) -> Iterator[tuple[int, ...]]:
-    """One-color rook counts by recurrence on the board size, row by row.
+def _rook_step(row: tuple[int, ...], m: int, s: int) -> tuple[int, ...]:
+    # The diagonal that step m adds to the board offers the k-th rook
+    # m - k + s squares free of the other k - 1 rooks.
+    row = tuple(
+        above + (m - k + s) * left
+        for k, (above, left) in enumerate(zip(row + (0,), (0,) + row))
+    )
+    return row if row[-1] else row[:-1]  # only the new top entry can vanish
 
-    Yields (R(m, 0), R(m, 1), ...) for m = 0 .. m_max, each row ending at
-    its last nonzero entry.  R(0, 0) = 1 and R(m, k) = R(m-1, k)
-    + (m - k + s) * R(m-1, k-1), with s = m % 2 on the white board and
-    1 - m % 2 on the black one: the diagonal that step m adds to the
-    board offers m - k + s squares free of the other k - 1 rooks.
-    Raises ValueError, when iterated, for m_max < 0 or an unknown color.
+
+def rook_rows(m_max: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """One-color rook counts by recurrence on the board size, as (white, black) rows.
+
+    Yields, for m = 0 .. m_max, the pair of rows (R(m, 0), R(m, 1), ...) on
+    the white and the black board, each ending at its last nonzero entry.
+    R(0, 0) = 1 and R(m, k) = R(m-1, k) + (m - k + s) * R(m-1, k-1), with
+    s = m % 2 on the white board and 1 - m % 2 on the black one.
+    Raises ValueError, when iterated, for m_max < 0.
     """
     if m_max < 0:
         raise ValueError(f"rook_rows needs m_max >= 0, got {m_max}")
-    if color not in ("white", "black"):
-        raise ValueError(f"color must be 'white' or 'black', got {color!r}")
-    row = (1,)
-    yield row
+    white = black = (1,)
+    yield white, black
     for m in range(1, m_max + 1):
-        s = m % 2 if color == "white" else 1 - m % 2
-        row = tuple(
-            above + (m - k + s) * left
-            for k, (above, left) in enumerate(zip(row + (0,), (0,) + row))
-        )
-        if not row[-1]:  # only the new top entry can vanish
-            row = row[:-1]
-        yield row
+        white, black = _rook_step(white, m, m % 2), _rook_step(black, m, 1 - m % 2)
+        yield white, black
 
 
 def anassa_rows(m_max: int) -> Iterator[tuple[int, ...]]:
@@ -90,14 +92,14 @@ def count_table(piece: str, m_max: int, rect: bool = False) -> Iterator[tuple[in
 
     Row m holds the counts for k = 0 .. max_pieces(piece, m), padded with
     zeros to a common width when ``rect`` is set.  Bishop rows convolve the
-    black and white rows of :func:`rook_rows`; anassa rows come from
+    white and black rows of :func:`rook_rows`; anassa rows come from
     :func:`anassa_rows`, which steps the totals without the p-split.
     Raises ValueError on the call, before any row, for an unknown piece or
     m_max < 0.
     """
     top = max_pieces(piece, m_max)  # checks both arguments now, not at the first row
     if piece == "bishop":
-        rows = map(convolve, rook_rows(m_max, "black"), rook_rows(m_max, "white"))
+        rows = (convolve(white, black) for white, black in rook_rows(m_max))
     else:
         rows = anassa_rows(m_max)
     # Each row already ends at max_pieces(piece, m); only rect pads it.

@@ -169,18 +169,14 @@ def test_counts_are_nonnegative(m, k):
 
 def test_color_boards_partition_the_board():
     for m in range(7):
-        white = bishop_color_board(m, "white")
-        black = bishop_color_board(m, "black")
+        white, black = bishop_color_board(m)
         assert white | black == square_board(m)
         assert not white & black
         assert len(white) == (m * m + 1) // 2
 
 
 def test_white_is_the_color_of_the_corner():
-    assert bishop_color_board(1, "white") == frozenset({(1, 1)})
-    assert bishop_color_board(1, "black") == frozenset()
-    with pytest.raises(ValueError):
-        bishop_color_board(2, "green")
+    assert bishop_color_board(1) == (frozenset({(1, 1)}), frozenset())
 
 
 # --- split on marked squares ---

@@ -42,8 +42,9 @@ def test_rook_frozen_values():
 def test_rook_single_piece_counts_squares():
     # One rook anywhere: the count is just the number of squares of that color.
     for m in range(9):
-        assert white_rooks(m, 1) == len(bishop_color_board(m, "white"))
-        assert black_rooks(m, 1) == len(bishop_color_board(m, "black"))
+        white, black = bishop_color_board(m)
+        assert white_rooks(m, 1) == len(white)
+        assert black_rooks(m, 1) == len(black)
 
 
 def test_rook_edge_rows():
@@ -59,11 +60,11 @@ def test_rook_rows_reach_deep_boards():
     # Far past the depth where a recursive recurrence overflows the stack.
     m = 1100
     rooks = [rook_and_bishop_quasipolynomials(k)[:2] for k in range(5)]
+    *_, last = rook_rows(m)
     for i, color in enumerate(("white", "black")):
-        *_, last = rook_rows(m, color)
         for k in range(5):
             want = sum(c * m**d for d, c in enumerate(rooks[k][i].coeffs[m % 2]))
-            assert last[k] == want, (color, k)
+            assert last[i][k] == want, (color, k)
 
 
 def test_rook_recurrence_run_backward_meets_the_closed_forms_at_negative_sizes():
@@ -104,11 +105,8 @@ def test_rook_validation():
             alt(-1, 0)
         with pytest.raises(ValueError):
             alt(3, -1)
-    for color in ("white", "black"):
-        with pytest.raises(ValueError):
-            next(rook_rows(-1, color))
     with pytest.raises(ValueError):
-        next(rook_rows(3, "red"))
+        next(rook_rows(-1))
 
 
 # --- bishops ---

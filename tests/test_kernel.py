@@ -161,6 +161,19 @@ def test_deep_entries_match_closed_forms():
     assert assoc_stirling2(2 * k, k) == math.prod(range(1, 2 * k, 2))
 
 
+def test_tables_answer_zero_off_the_triangle_without_growing():
+    # Negative indices must not wrap around to the table's last entries.
+    table = kernel._Diagonals(lambda t, c: (c, 1))
+    for t, c in ((-1, 0), (0, -1)):
+        assert table.at(t, c) == 0, (t, c)
+    assert table._diags == [[1]]
+    table.at(3, 2)
+    grown = [list(diag) for diag in table._diags]
+    for t, c in ((-1, 1), (2, -1)):
+        assert table.at(t, c) == 0, (t, c)
+    assert table._diags == grown
+
+
 def _rows_by_recurrence(n_max, step):
     rows = [[1]]
     for n in range(1, n_max + 1):
