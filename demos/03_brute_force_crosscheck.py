@@ -53,7 +53,7 @@ print("\nclosed forms match brute force for m <= 5")
 
 # Bishops never leave their square color, so the count factors through
 # the two color classes independently.
-white, _ = bishop_color_board(5)
+white, _ = bishop_color_board(square_board(5))
 print("white squares on S_5:", len(white))
 assert placement_counts(white, BISHOP_MOVES)[2] == white_rooks(5, 2)
 

@@ -4,10 +4,10 @@ Squares are (column, row) pairs, both 1-based, row 1 at the bottom; a board
 is a frozenset of squares.  A piece is a pair of move directions; it attacks
 along the full line spanned by each direction, with no blocking (placements
 are counted, so every other piece on a shared line is itself a mutual
-attacker).  Bishops keep their color, so :func:`bishop_color_board` returns
-the board's two colors as a (white, black) pair.  The counter here uses no
-closed form: it matches the two families of lines, one line at a time, so
-it serves as an independent check of the formulas.
+attacker).  Bishops keep their color, so :func:`bishop_color_board` splits
+a board into its two colors, as a (white, black) pair.  The counter here
+uses no closed form: it matches the two families of lines, one line at a
+time, so it serves as an independent check of the formulas.
 """
 
 import math
@@ -102,15 +102,14 @@ def placement_counts(board: frozenset[Square], moves: MoveSet) -> tuple[int, ...
     return tuple(profile[size, 0] for size in range(len(profile)))
 
 
-def bishop_color_board(m: int) -> tuple[frozenset[Square], frozenset[Square]]:
-    """The squares of the m x m board on each bishop color, as (white, black).
+def bishop_color_board(board: frozenset[Square]) -> tuple[frozenset[Square], frozenset[Square]]:
+    """The squares of ``board`` on each bishop color, as (white, black).
 
     White is the color of (1, 1): squares with column + row even.  Bishops
     never leave their color, so bishop placements factor over the two boards.
     """
-    # Column c holds white squares from row 2 - c % 2 up, black from row 1 + c % 2.
-    white = frozenset((c, r) for c in range(1, m + 1) for r in range(2 - c % 2, m + 1, 2))
-    return white, frozenset((c, r) for c in range(1, m + 1) for r in range(1 + c % 2, m + 1, 2))
+    white = frozenset((c, r) for c, r in board if not (c + r) % 2)
+    return white, board - white
 
 
 def inductive_subset(m: int, piece: str) -> frozenset[Square]:

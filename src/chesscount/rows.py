@@ -87,25 +87,19 @@ def max_pieces(piece: str, m: int) -> int:
     raise ValueError(f"unknown piece {piece!r}")
 
 
-def count_table(piece: str, m_max: int, rect: bool = False) -> Iterator[tuple[int, ...]]:
+def count_table(piece: str, m_max: int) -> Iterator[tuple[int, ...]]:
     """The count rows for board sizes 0 .. m_max, as an iterator that builds one at a time.
 
-    Row m holds the counts for k = 0 .. max_pieces(piece, m), padded with
-    zeros to a common width when ``rect`` is set.  Bishop rows convolve the
-    white and black rows of :func:`rook_rows`; anassa rows come from
-    :func:`anassa_rows`, which steps the totals without the p-split.
-    Raises ValueError on the call, before any row, for an unknown piece or
-    m_max < 0.
+    Row m holds the counts for k = 0 .. max_pieces(piece, m), so it ends at
+    its last nonzero count.  Bishop rows convolve the white and black rows
+    of :func:`rook_rows`; anassa rows come from :func:`anassa_rows`, which
+    steps the totals without the p-split.  Raises ValueError on the call,
+    before any row, for an unknown piece or m_max < 0.
     """
-    top = max_pieces(piece, m_max)  # checks both arguments now, not at the first row
+    max_pieces(piece, m_max)  # checks both arguments now, not at the first row
     if piece == "bishop":
-        rows = (convolve(white, black) for white, black in rook_rows(m_max))
-    else:
-        rows = anassa_rows(m_max)
-    # Each row already ends at max_pieces(piece, m); only rect pads it.
-    if not rect:
-        return rows
-    return (row + (0,) * (top + 1 - len(row)) for row in rows)
+        return (convolve(white, black) for white, black in rook_rows(m_max))
+    return anassa_rows(m_max)
 
 
 def _table_bfile(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iterator[str]:
@@ -142,7 +136,10 @@ def _cmd_table(args: SimpleNamespace) -> tuple[Iterator[str], int]:
         raise _UsageError(f"m_max must be >= 0, got {args.m_max}")
     if args.offset is not None and args.format != "bfile":
         raise _UsageError("--offset applies only to --format bfile")
-    rows = count_table(args.piece, args.m_max, rect=args.rect)
+    rows = count_table(args.piece, args.m_max)
+    if args.rect:  # zeros up to the width of the last row
+        top = max_pieces(args.piece, args.m_max)
+        rows = (row + (0,) * (top - len(row) + 1) for row in rows)
     if args.format == "json":
         return _table_json(args, rows), 0
     if args.format == "bfile":

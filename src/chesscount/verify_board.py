@@ -31,7 +31,7 @@ def suite_oracle(m_max: int = 5) -> list[CheckResult]:
     colors = CheckResult("bishop counts factor over the two colors")
     for m in range(m_max + 1):
         board = square_board(m)
-        white, black = bishop_color_board(m)
+        white, black = bishop_color_board(board)
         boards = dict.fromkeys((board, white, black))
         bishop = {b: placement_counts(b, BISHOP_MOVES) for b in boards}
         below_diagonal = frozenset((c, r) for c, r in board if r < c)

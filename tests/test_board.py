@@ -167,16 +167,22 @@ def test_counts_are_nonnegative(m, k):
 # --- color split ---
 
 
-def test_color_boards_partition_the_board():
-    for m in range(7):
-        white, black = bishop_color_board(m)
-        assert white | black == square_board(m)
-        assert not white & black
-        assert len(white) == (m * m + 1) // 2
+@given(st.frozensets(st.tuples(st.integers(1, 4), st.integers(1, 4))))
+def test_color_boards_partition_the_board(board):
+    # Any board splits, not only a square one: white holds the squares with
+    # column + row even, and black the rest.
+    white, black = bishop_color_board(board)
+    assert white | black == board
+    assert not white & black
+    assert all((c + r) % 2 == ((c, r) in black) for c, r in board)
 
 
 def test_white_is_the_color_of_the_corner():
-    assert bishop_color_board(1) == (frozenset({(1, 1)}), frozenset())
+    # The corner is white, so white takes the extra square of an odd board.
+    assert bishop_color_board(square_board(1)) == (frozenset({(1, 1)}), frozenset())
+    for m in range(7):
+        white, black = bishop_color_board(square_board(m))
+        assert (len(white), len(black)) == ((m * m + 1) // 2, m * m // 2)
 
 
 # --- split on marked squares ---

@@ -23,7 +23,9 @@ from chesscount import (
     max_pieces,
     rook_and_bishop_quasipolynomials,
     rook_rows,
+    square_board,
     stirling2,
+    verify_identities,
     white_rooks,
     white_rooks_alt,
 )
@@ -42,7 +44,7 @@ def test_rook_frozen_values():
 def test_rook_single_piece_counts_squares():
     # One rook anywhere: the count is just the number of squares of that color.
     for m in range(9):
-        white, black = bishop_color_board(m)
+        white, black = bishop_color_board(square_board(m))
         assert white_rooks(m, 1) == len(white)
         assert black_rooks(m, 1) == len(black)
 
@@ -258,6 +260,19 @@ def test_anassa_validation():
         anassas_diagonal(-1)
 
 
+def test_exact_divisions_refuse_a_remainder(monkeypatch):
+    # One wrong binomial, C(3, 1) = 4, leaves a remainder in the alternating
+    # sum at m = 4, k = 1 (divided by 3!) and in the saturated sums at m = 2.
+    right = verify_identities.binomial
+    monkeypatch.setattr(
+        verify_identities, "binomial", lambda n, k: right(n, k) + ((n, k) == (3, 1))
+    )
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        white_rooks_alt(4, 1)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        anassas_diagonal(2)
+
+
 @given(st.integers(0, 10), st.integers(0, 10))
 def test_anassa_never_exceeds_bishop_freedom(m, k):
     # The anassa's lines nest inside the rook+bishop union; spot sanity bound.
@@ -288,10 +303,6 @@ def test_count_table_rows():
     assert list(count_table("anassa", 2)) == [(1,), (1, 1), (1, 4, 3)]
 
 
-def test_count_table_rect_pads_with_zeros():
-    assert list(count_table("anassa", 2, rect=True)) == [(1, 0, 0), (1, 1, 0), (1, 4, 3)]
-
-
 def test_count_table_invariants():
     for piece in ("bishop", "anassa"):
         for m, row in enumerate(count_table(piece, 6)):
@@ -306,12 +317,9 @@ def test_count_table_matches_closed_forms():
     # The tables come from the row recurrences; the closed forms check them.
     for piece, m_max in (("bishop", 30), ("anassa", 40)):
         rows = list(count_table(piece, m_max))
-        padded = list(count_table(piece, m_max, rect=True))
-        width = max_pieces(piece, m_max) + 1
         for m in range(m_max + 1):
             closed = tuple(count(piece, m, k) for k in range(max_pieces(piece, m) + 1))
             assert rows[m] == closed, (piece, m)
-            assert padded[m] == closed + (0,) * (width - len(closed)), (piece, m)
     *_, last = count_table("anassa", 120)
     assert last == tuple(count("anassa", 120, k) for k in range(121))
 
@@ -323,7 +331,6 @@ def test_anassa_table_does_not_build_split_triangles(monkeypatch):
     monkeypatch.setattr("chesscount.verify_identities.anassa_split_rows", refuse)
     *_, last = count_table("anassa", 30)
     assert last == tuple(anassas(30, k) for k in range(31))
-    assert list(count_table("anassa", 30, rect=True))[2] == (1, 4, 3) + (0,) * 28
 
 
 def test_anassa_sums_skip_the_terms_past_the_board(monkeypatch):

@@ -80,6 +80,10 @@ def test_star_import_binds_every_public_name():
         assert namespace[name] is getattr(chesscount, name)
 
 
+def test_dir_lists_every_public_name():
+    assert set(chesscount.__all__) <= set(dir(chesscount))
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_count"):
         chesscount.no_such_count

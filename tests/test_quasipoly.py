@@ -70,13 +70,6 @@ def test_basis_change_frozen_values():
     assert _weights(1, 1, 0) == [0, 0, 1]
 
 
-def test_basis_change_matches_linear_solve():
-    for p in range(4):
-        for q in range(4):
-            for z in (-1, 0, 1):
-                assert _weights(p, q, z) == _solve_basis_change(p, q, z), (p, q, z)
-
-
 def test_basis_change_expands_the_product_on_a_wide_grid():
     # The expansion has degree p + q in x, so the points x = 0..p+q fix it.
     for p in range(13):

@@ -190,8 +190,8 @@ def test_oracle_and_collapse_search_as_often_as_they_read(monkeypatch):
 
 
 def test_oracle_builds_each_square_board_once_per_reader(monkeypatch):
-    # Only the suite's own board: the color boards are built from coordinates,
-    # and the anassa split reads the profile of the suite's board.
+    # Only the suite's own board: the color boards split it, and the anassa
+    # split reads the profile of the suite's board.
     sizes = []
     build = board.square_board
 
