@@ -7,6 +7,7 @@ runs, so it compiles no other suite and no layer that only they read.
 """
 
 import importlib
+from collections.abc import Callable
 from types import SimpleNamespace
 
 
@@ -43,38 +44,34 @@ SUITES = {
 }
 
 
-def _suite(name: str):
-    """The suite function ``name``, its module loaded on first use."""
-    return getattr(importlib.import_module(f"{__package__}.{SUITES[name]}"), f"suite_{name}")
+def check_bounds(
+    name: str, m_max: int | None = None, k_max: int | None = None
+) -> list[tuple[Callable[..., list[CheckResult]], dict[str, int]]]:
+    """The plan of a request: each suite it runs, in order, as a (suite, kwargs) step.
 
-
-def _bounds(suite) -> set[str]:
-    """The bounds a suite takes, read from its parameter names."""
-    code = suite.__code__
-    return {"m_max", "k_max"} & set(code.co_varnames[: code.co_argcount])
-
-
-def check_bounds(name: str, m_max: int | None = None, k_max: int | None = None) -> None:
-    """Raise ValueError for an unknown suite, a negative bound, or a bound the suite ignores."""
+    A suite takes the bounds its parameters name.  Raises ValueError for an
+    unknown suite, a negative bound, or a bound the suite ignores.
+    """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    for bound, value in (("m_max", m_max), ("k_max", k_max)):
+    given = {"m_max": m_max, "k_max": k_max}  # ``all`` passes each to the suites that take it
+    plan = []
+    for n in SUITES if name == "all" else [name]:
+        suite = getattr(importlib.import_module(f"{__package__}.{SUITES[n]}"), f"suite_{n}")
+        takes = suite.__code__.co_varnames[: suite.__code__.co_argcount]
+        plan.append((suite, {b: v for b, v in given.items() if b in takes and v is not None}))
+    for bound, value in given.items():
         if value is not None and value < 0:
             raise ValueError(f"{bound} must be >= 0, got {value}")
-        if value is not None and name != "all" and bound not in _bounds(_suite(name)):
+        if value is not None and name != "all" and bound not in plan[0][1]:
             raise ValueError(f"suite {name!r} takes no {bound}")
+    return plan
 
 
 def run_suite(name: str, m_max: int | None = None, k_max: int | None = None) -> list[CheckResult]:
     """Run one named suite (or ``all``) with optional bound overrides."""
-    check_bounds(name, m_max, k_max)
-    given = {"m_max": m_max, "k_max": k_max}  # ``all`` passes each to the suites that take it
-    results: list[CheckResult] = []
-    for n in SUITES if name == "all" else [name]:
-        suite = _suite(n)
-        kwargs = {bound: given[bound] for bound in _bounds(suite) if given[bound] is not None}
-        results.extend(suite(**kwargs))
-    return results
+    plan = check_bounds(name, m_max, k_max)
+    return [result for suite, kwargs in plan for result in suite(**kwargs)]
 
 
 def _cmd_verify(args: SimpleNamespace) -> tuple[list[str], int]:

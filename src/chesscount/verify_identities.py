@@ -178,23 +178,26 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
     small = min(m_max, 12)
     r = CheckResult("bishop counts: three routes agree")
     # Table rows convolve the black and white rook_rows of each size; the
-    # alternating sums use no Stirling number and no recurrence.
-    for m, row in enumerate(rows.count_table("bishop", small)):
+    # alternating sums use no Stirling number and no recurrence.  The table
+    # is read whole, at most 13 rows, so that its length can be checked.
+    table = list(rows.count_table("bishop", small))
+    for m, row in enumerate(table):
         white = [white_rooks_alt(m, j) for j in range(11)]
         black = [black_rooks_alt(m, j) for j in range(11)]
         for k in range(11):
             closed = formulas.bishops(m, k)
             got, want = _at(row, k), closed
-            if not k:  # and the row's width, which ``table --rect`` pads to
-                got, want = (got, len(row)), (want, rows.max_pieces("bishop", m) + 1)
+            if not k:  # and the row's width, which ``table --rect`` pads to, and the row count
+                got = (got, len(row), len(table))
+                want = (want, rows.max_pieces("bishop", m) + 1, small + 1)
             r.compare(f"convolution m={m} k={k}", got, want)
             alternating = sum(white[j] * black[k - j] for j in range(k + 1))
             r.compare(f"alternating m={m} k={k}", alternating, closed)
     results.append(r)
 
     r = CheckResult("anassa split: recurrence, closed form, and total agree")
-    # The total is the row that ``table anassa`` prints.
-    totals = rows.count_table("anassa", small)
+    # The total is the row that ``table anassa`` prints, read whole as above.
+    totals = list(rows.count_table("anassa", small))
     for m, (tri, row) in enumerate(zip(anassa_split_rows(small), totals)):
         for k in range(k_max + 1):
             split = tri[k] if k <= m else ()
@@ -202,8 +205,9 @@ def suite_identities(m_max: int = 20, k_max: int = 8) -> list[CheckResult]:
             for p, value in enumerate(closed):
                 r.compare(f"rec m={m} k={k} p={p}", _at(split, p), value)
             got, want = sum(closed), _at(row, k)
-            if not k:  # and the row's width, which ``table --rect`` pads to
-                got, want = (got, rows.max_pieces("anassa", m) + 1), (want, len(row))
+            if not k:  # and the row's width, which ``table --rect`` pads to, and the row count
+                got = (got, rows.max_pieces("anassa", m) + 1, small + 1)
+                want = (want, len(row), len(totals))
             r.compare(f"sum m={m} k={k}", got, want)
             r.compare(f"telescoped m={m} k={k}", closed[k], stirling2(m, m - k))
     results.append(r)

@@ -144,6 +144,21 @@ def interpolate(points: Iterable[tuple[int, int]]) -> list[Fraction]:
     return poly
 
 
+def newton_extrapolate(samples: Sequence[int], x: int) -> int:
+    """The polynomial of degree < len(samples) through (i, samples[i]), evaluated at x.
+
+    Newton's forward-difference form: the sum over j of the j-th forward
+    difference at 0 times C(x, j), with C(x, j + 1) = C(x, j) (x - j) / (j + 1)
+    an exact integer division for every integer x, negative ones too.
+    """
+    diffs, total, weight = list(samples), 0, 1
+    for j in range(len(samples)):
+        total += diffs[0] * weight
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        weight = weight * (x - j) // (j + 1)
+    return total
+
+
 def polyval(coeffs: Sequence[Fraction], x: int) -> Fraction:
     """Evaluate ascending coefficients at x, exactly."""
     return sum((c * Fraction(x) ** d for d, c in enumerate(coeffs)), Fraction(0))

@@ -83,6 +83,7 @@ def test_argv_stays_capped_after_a_call(capsys):
         ("anassa", 8, 3, None),
         ("anassa", 4, 2, 2),
         ("anassa", 8, 3, 1),
+        ("anassa", 5, 3, 0),
         ("bishop", -3, 4, None),
         ("anassa", -5, 4, None),
         ("anassa", -2, 3, 1),
@@ -255,7 +256,11 @@ def test_unwritable_stdout_exits_1_with_a_message(argv):
 
 @pytest.mark.parametrize(
     "argv, code, out",
-    [(["count", "bishop", "8", "2"], 0, b"1736\n"), (["count", "bishop", "8", "-1"], 2, b"")],
+    [
+        (["count", "bishop", "8", "2"], 0, b"1736\n"),
+        (["count", "bishop", "8", "-1"], 2, b""),
+        (["count", "anassa", "5", "3", "--below", "0"], 0, b"90\n"),
+    ],
 )
 def test_entry_freezes_and_still_runs_atexit_handlers(argv, code, out):
     script = (
@@ -462,7 +467,9 @@ def test_usage_errors(argv, capsys):
     assert captured.err.startswith(f"usage: chesscount {argv[0]}")
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests taken under Python 3.11")
+@pytest.mark.skipif(
+    not (3, 10) <= sys.version_info[:2] <= (3, 13), reason="digests checked on Python 3.10-3.13"
+)
 @pytest.mark.parametrize("line", ARGPARSE_ONLY_SHA256)
 def test_help_and_usage_errors_print_what_argparse_alone_printed(line, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")

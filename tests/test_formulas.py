@@ -29,7 +29,7 @@ from chesscount import (
     white_rooks,
     white_rooks_alt,
 )
-from helpers import anassa_rows_backward, rook_rows_backward
+from helpers import anassa_rows_backward, newton_extrapolate, rook_rows_backward
 
 # --- one-color rook counts ---
 
@@ -204,6 +204,18 @@ def test_anassa_split_recurrence_matches_closed_form():
             for p in range(k + 1):
                 got = tri[k][p] if k <= m else 0
                 assert got == anassas_split(m, k, p), (m, k, p)
+
+
+def test_anassa_split_at_negative_sizes_extends_the_recurrence_polynomial():
+    # For fixed k and p the split count is a polynomial in m of degree at
+    # most 2k, so the recurrence's values at m = 0 .. 2k fix it everywhere.
+    triangles = list(anassa_split_rows(16))
+    for k in range(9):
+        splits = [tri[k] if k <= m else () for m, tri in enumerate(triangles[: 2 * k + 1])]
+        for p in range(k + 2):
+            samples = [split[p] if p < len(split) else 0 for split in splits]
+            for m in range(-25, 0):
+                assert anassas_split(m, k, p) == newton_extrapolate(samples, m), (m, k, p)
 
 
 def test_anassa_rows_sum_the_split_triangles():

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import re
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -104,13 +105,17 @@ def test_verify_reads_no_private_quasipoly_name():
 
 
 def test_verify_reads_no_private_board_name():
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in VERIFY_FILES]
+    # The suites read ``board`` through one handle, as ``board.<name>``.
+    nodes = [
+        node
+        for path in VERIFY_FILES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not [n for n in nodes if isinstance(n, ast.ImportFrom) and n.module == "board"]
     names = [
-        alias.name
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "board"
-        for alias in node.names
+        node.attr
+        for node in nodes
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "board"
     ]
     assert "placement_profile" in names
     assert not [name for name in names if name.startswith("_")]
@@ -124,14 +129,24 @@ def test_verify_files_are_the_runner_and_its_suite_modules():
 def test_check_bounds_accepts_exactly_the_suites_parameters(suite):
     # The registry names a module, not the bounds: they are read from the
     # suite function's parameters, so the two cannot drift apart.
-    module = importlib.import_module(f"chesscount.{SUITES[suite]}")
-    parameters = set(inspect.signature(getattr(module, f"suite_{suite}")).parameters)
+    function = getattr(importlib.import_module(f"chesscount.{SUITES[suite]}"), f"suite_{suite}")
+    parameters = set(inspect.signature(function).parameters)
     for bound in ("m_max", "k_max"):
         if bound in parameters:
-            verify.check_bounds(suite, **{bound: 1})
+            assert verify.check_bounds(suite, **{bound: 1}) == [(function, {bound: 1})]
         else:
             with pytest.raises(ValueError, match=f"takes no {bound}"):
                 verify.check_bounds(suite, **{bound: 1})
+
+
+def test_the_plan_of_all_passes_each_bound_to_the_suites_that_take_it():
+    plan = verify.check_bounds("all", k_max=2)
+    assert [(suite.__name__, kwargs) for suite, kwargs in plan] == [
+        ("suite_oracle", {}),
+        ("suite_identities", {"k_max": 2}),
+        ("suite_collapse", {}),
+        ("suite_coeffs", {"k_max": 2}),
+    ]
 
 
 def test_every_suite_function_is_registered():
@@ -215,6 +230,14 @@ def test_oracle_compares_the_named_closed_forms(monkeypatch):
     assert [r.checks for r in results] == [39, 33, 77, 27]
 
 
+def test_color_split_compares_each_color_with_its_rook_count(monkeypatch):
+    # A split that leaves white empty still factors the bishop counts.
+    monkeypatch.setattr(board, "bishop_color_board", lambda square: (frozenset(), square))
+    failed = [r for r in suite_oracle(5) if not r.ok]
+    assert [r.name for r in failed] == ["bishop counts factor over the two colors"]
+    assert failed[0].failures[0].startswith("color split m=1 k=1:")
+
+
 def test_oracle_groups_stay_apart(monkeypatch):
     anassas = formulas.anassas
     monkeypatch.setattr(formulas, "anassas", lambda m, k: anassas(m, k) + ((m, k) == (4, 2)))
@@ -268,6 +291,10 @@ def _rows_off(route, *args, **kwargs):
     return map(_plus_one, route(*args, **kwargs))
 
 
+def _one_row_short(route, m_max):
+    return islice(route(m_max), m_max)
+
+
 def _table_off(piece):
     def wrong(route, p, *args, **kwargs):
         table = route(p, *args, **kwargs)
@@ -302,7 +329,13 @@ PRINTED_ROUTES = [
         rows, "convolve", lambda route, *args: _plus_one(route(*args)), "table bishop 3",
         id="convolve",
     ),
+    pytest.param(
+        rows, "rook_rows", _one_row_short, "table bishop 3", id="rook_rows-one-row-short"
+    ),
     pytest.param(rows, "anassa_rows", _rows_off, "table anassa 3", id="anassa_rows"),
+    pytest.param(
+        rows, "anassa_rows", _one_row_short, "table anassa 3", id="anassa_rows-one-row-short"
+    ),
     *(
         pytest.param(
             rows, "count_table", _table_off(piece), f"table {piece} 3", id=f"count_table-{piece}"
