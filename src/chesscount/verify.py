@@ -44,9 +44,10 @@ SUITES = {
 }
 
 
-def check_bounds(
-    name: str, m_max: int | None = None, k_max: int | None = None
-) -> list[tuple[Callable[..., list[CheckResult]], dict[str, int]]]:
+_Plan = list[tuple[Callable[..., list[CheckResult]], dict[str, int]]]
+
+
+def check_bounds(name: str, m_max: int | None = None, k_max: int | None = None) -> _Plan:
     """The plan of a request: each suite it runs, in order, as a (suite, kwargs) step.
 
     A suite takes the bounds its parameters name.  Raises ValueError for an
@@ -68,9 +69,8 @@ def check_bounds(
     return plan
 
 
-def run_suite(name: str, m_max: int | None = None, k_max: int | None = None) -> list[CheckResult]:
-    """Run one named suite (or ``all``) with optional bound overrides."""
-    plan = check_bounds(name, m_max, k_max)
+def run_suite(plan: _Plan) -> list[CheckResult]:
+    """Run the steps of a plan from :func:`check_bounds`, in order."""
     return [result for suite, kwargs in plan for result in suite(**kwargs)]
 
 
@@ -79,10 +79,10 @@ def _cmd_verify(args: SimpleNamespace) -> tuple[list[str], int]:
     from .cli import _UsageError
 
     try:
-        check_bounds(args.suite, args.m_max, args.k_max)
+        plan = check_bounds(args.suite, args.m_max, args.k_max)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    results = run_suite(args.suite, m_max=args.m_max, k_max=args.k_max)
+    results = run_suite(plan)
     lines = []
     for r in results:
         if r.ok:

@@ -1,16 +1,8 @@
 """Shared fixtures: the ``verify`` suites, run once per session."""
 
-import os
-import sys
-
 import pytest
 
-# Neither this process nor the CLI children it starts write bytecode under
-# ``src/``: a later benchmark run in this checkout would skip compiling it.
-sys.dont_write_bytecode = True
-os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
-
-from chesscount.verify import run_suite  # noqa: E402
+from chesscount.verify import check_bounds, run_suite
 
 # Bounds at which the tests run each verify suite.  Each is at least as wide
 # as the tests that once repeated its groups, so every point they checked is
@@ -34,7 +26,7 @@ def verify_suite():
 
     def results(suite):
         if suite not in done:
-            done[suite] = {r.name: r for r in run_suite(suite, **SUITE_BOUNDS[suite])}
+            done[suite] = {r.name: r for r in run_suite(check_bounds(suite, **SUITE_BOUNDS[suite]))}
         return done[suite]
 
     return results

@@ -396,8 +396,7 @@ def test_out_writes_file(tmp_path, capsys):
 def test_out_failure_reports_path_and_cause(tmp_path, capsys):
     target = tmp_path / "missing" / "rows.csv"
     assert cli.main(["table", "bishop", "2", "--out", str(target)]) == 1
-    err = capsys.readouterr().err
-    assert str(target) in err and "cannot write" in err
+    assert capsys.readouterr().err == f"cannot write {target}: No such file or directory\n"
 
 
 @pytest.mark.parametrize(
@@ -728,6 +727,13 @@ def test_verify_output_is_frozen(capsys):
     assert cli.main(["verify", "identities", "--m-max", "28", "--k-max", "10"]) == 0
     summary = capsys.readouterr().out.splitlines()[-1]
     assert summary == "summary: 13 check groups, 4849 checks, 0 failures"
+    # A group with exactly one check is ok.
+    assert cli.main(["verify", "oracle", "--m-max", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "ok    bishop counts factor over the two colors (1 checks)",
+        "summary: 4 check groups, 9 checks, 0 failures",
+    ]
 
 
 @pytest.mark.parametrize("route", ["white_rooks_alt", "black_rooks_alt"])

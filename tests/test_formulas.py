@@ -266,6 +266,8 @@ def test_anassa_validation():
         anassas_split(3, 1, -1)
     with pytest.raises(ValueError):
         next(anassa_split_rows(-1))
+    assert list(anassa_split_rows(0)) == [((1,),)]
+    assert len(list(anassa_split_rows(40))) == 41
     with pytest.raises(ValueError):
         next(anassa_rows(-1))
     with pytest.raises(ValueError):
@@ -281,6 +283,13 @@ def test_exact_divisions_refuse_a_remainder(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="not divisible"):
         white_rooks_alt(4, 1)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        anassas_diagonal(2)
+    # C(3, 1) = 7 leaves a remainder in the second sum only: at m = 2 the
+    # first, 20, divides by 2^2, and the second, 28, by 2 but not by 2^3.
+    monkeypatch.setattr(
+        verify_identities, "binomial", lambda n, k: right(n, k) + 4 * ((n, k) == (3, 1))
+    )
     with pytest.raises(ArithmeticError, match="non-integral"):
         anassas_diagonal(2)
 

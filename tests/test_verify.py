@@ -68,7 +68,9 @@ def test_groups_are_the_engines_groups(verify_suite):
     assert len({group_id(g) for _, g in GROUPS}) == len(GROUPS)
 
 
-def test_basis_change_identity_catches_a_wrong_row(monkeypatch):
+@pytest.mark.parametrize("broken_z", [-1, 0, 1])
+def test_basis_change_identity_catches_a_wrong_row(monkeypatch, broken_z):
+    # One entry off at each z in turn, so the group must check all three.
     def group():
         results = suite_identities(m_max=2, k_max=1)
         return next(r for r in results if r.name == "binomial basis change identity")
@@ -78,12 +80,12 @@ def test_basis_change_identity_catches_a_wrong_row(monkeypatch):
 
     def one_entry_off(q, z, p_max):
         for p, row in enumerate(rows(q, z, p_max)):
-            yield [w + 1 if (p, q, z, i) == (3, 2, 1, 2) else w for i, w in enumerate(row)]
+            yield [w + 1 if (p, q, z, i) == (3, 2, broken_z, 2) else w for i, w in enumerate(row)]
 
     monkeypatch.setattr(verify_identities, "_basis_change_rows", one_entry_off)
     broken = group()
     assert broken.checks == 825
-    assert broken.failures and all(f.startswith("p=3 q=2 z=1 ") for f in broken.failures)
+    assert broken.failures and all(f.startswith(f"p=3 q=2 z={broken_z} ") for f in broken.failures)
 
 
 def test_coeffs_suite_builds_each_rook_vector_once(monkeypatch):
@@ -149,6 +151,29 @@ def test_the_plan_of_all_passes_each_bound_to_the_suites_that_take_it():
     ]
 
 
+def test_verify_plans_each_request_once(monkeypatch):
+    calls = []
+    planner = verify.check_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return planner(*args)
+
+    monkeypatch.setattr(verify, "check_bounds", counted)
+    assert cli.main(["verify", "collapse", "--m-max", "3"]) == 0
+    assert calls == [("collapse", 3, None)]
+
+
+def test_run_suite_runs_the_plan_it_is_given(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_suite planned again")
+
+    monkeypatch.setattr(verify, "check_bounds", refuse)
+    first, second = verify.CheckResult("first"), verify.CheckResult("second")
+    plan = [(lambda: [first], {}), (lambda m_max: [second, m_max], {"m_max": 4})]
+    assert verify.run_suite(plan) == [first, second, 4]
+
+
 def test_every_suite_function_is_registered():
     defined = {
         name[len("suite_"):]
@@ -200,7 +225,7 @@ def test_oracle_and_collapse_search_as_often_as_they_read(monkeypatch):
     # and at m = 1 each piece's reduced board is the empty 0 x 0 board; each
     # suite keeps only what it reads twice itself.
     calls = _searches(monkeypatch)
-    assert all(r.ok for r in verify.run_suite("all", m_max=10))
+    assert all(r.ok for r in verify.run_suite(verify.check_bounds("all", m_max=10)))
     assert (len(calls), len(set(calls))) == (81, 58)
 
 
@@ -266,10 +291,11 @@ def test_coefficient_structure_names_the_broken_k(monkeypatch):
         return divide(vec, k)
 
     def skewed_at_k2(k):
-        # m(m-1)/7 joins the vector: still divisible, the same lead and, by the
+        # m(m-1)/5 joins the vector: still divisible, the same lead and, by the
         # true evaluate, the same values, but a denominator past (2k)! * 4^k.
+        # 5 divides (3k)! * 4^k and (2k)! * 5^k at k = 2: either wrong bound lets it through.
         qp = anassa(k)
-        vec = tuple(c + Fraction((i == 2) - (i == 1), 7) for i, c in enumerate(qp.coeffs[0]))
+        vec = tuple(c + Fraction((i == 2) - (i == 1), 5) for i, c in enumerate(qp.coeffs[0]))
         return qp if k != 2 else SimpleNamespace(coeffs=(vec,), evaluate=qp.evaluate)
 
     for name, patch, want in (
@@ -375,4 +401,4 @@ def test_verify_all_fails_on_a_wrong_printed_route(capsys, monkeypatch, module, 
     monkeypatch.setattr(module, name, lambda *args, **kwargs: wrong(route, *args, **kwargs))
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out != right
-    assert not all(r.ok for r in verify.run_suite("all"))
+    assert not all(r.ok for r in verify.run_suite(verify.check_bounds("all")))
