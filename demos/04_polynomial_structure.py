@@ -14,18 +14,18 @@ from fractions import Fraction
 from chesscount import (
     anassa_quasipolynomial,
     anassas,
-    bishop_quasipolynomial,
     bishops,
     divide_by_falling_factorial,
     effective_period,
     falling_factorial,
+    rook_and_bishop_quasipolynomials,
 )
 
 # Two bishops: a single degree-4 polynomial covers every board size.
 # Coefficients are stored per parity of m, one vector per residue, so the
 # degree is one less than a vector's length.  For k <= 2 the two vectors
 # coincide, so the effective period is 1.
-qp = bishop_quasipolynomial(2)
+qp = rook_and_bishop_quasipolynomials(2).bishop
 print("bishops, k=2: degree", len(qp.coeffs[0]) - 1,
       " effective period", effective_period(qp.coeffs))
 print("  coefficients:", [str(c) for c in qp.coeffs[0]])
@@ -34,7 +34,7 @@ for m in range(12):
 
 # Three bishops: the even-m and odd-m coefficient vectors differ, so the
 # count is a genuine quasipolynomial of period 2.
-qp3 = bishop_quasipolynomial(3)
+qp3 = rook_and_bishop_quasipolynomials(3).bishop
 print("\nbishops, k=3: degree", len(qp3.coeffs[0]) - 1,
       " effective period", effective_period(qp3.coeffs))
 even, odd = qp3.coeffs
@@ -46,7 +46,8 @@ for m in range(14):
 # The leading coefficient is 1/k! for both pieces: asymptotically the
 # nonattacking constraint costs only the usual ordering factor.
 for k in range(1, 5):
-    assert bishop_quasipolynomial(k).coeffs[0][-1] == Fraction(1, math.factorial(k))
+    lead = rook_and_bishop_quasipolynomials(k).bishop.coeffs[0][-1]
+    assert lead == Fraction(1, math.factorial(k))
 print("\nleading coefficient is 1/k! for k <= 4")
 
 # Anassa counts stay ordinary polynomials (period 1) and are divisible by

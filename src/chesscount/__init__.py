@@ -23,8 +23,7 @@ _EXPORTS = {
     "kernel": "assoc_stirling2 binomial falling_factorial stirling1_unsigned stirling2",
     "poly": "convolve",
     "quasipoly": """QuasiPolynomial anassa_coeffs anassa_quasipolynomial
-        bishop_quasipolynomial divide_by_falling_factorial effective_period
-        rook_and_bishop_quasipolynomials""",
+        divide_by_falling_factorial effective_period rook_and_bishop_quasipolynomials""",
     "rows": "anassa_rows count_table max_pieces rook_rows",
     "verify_identities": "anassa_split_rows anassas_diagonal black_rooks_alt white_rooks_alt",
 }

@@ -122,7 +122,10 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "coeffs")):
         return int(total)
 
 
-def rook_and_bishop_quasipolynomials(k: int) -> tuple[QuasiPolynomial, ...]:
+_RookAndBishop = namedtuple("_RookAndBishop", "white black bishop")
+
+
+def rook_and_bishop_quasipolynomials(k: int) -> _RookAndBishop:
     """White-rook, black-rook and bishop counts for fixed k as period-2 quasipolynomials.
 
     This is the one place that picks each color's parity shift: at m parity p
@@ -141,12 +144,7 @@ def rook_and_bishop_quasipolynomials(k: int) -> tuple[QuasiPolynomial, ...]:
         black = _rook_vectors(k, p) if p else white
         rooks = ([Fraction(c, den) for c in vectors[k]] for vectors in (white, black))
         classes.append((*rooks, _bishop_from_rooks(k, white, black)))
-    return tuple(QuasiPolynomial(tuple(map(tuple, pair))) for pair in zip(*classes))
-
-
-def bishop_quasipolynomial(k: int) -> QuasiPolynomial:
-    """The bishop count for fixed k as a period-2 quasipolynomial in m."""
-    return rook_and_bishop_quasipolynomials(k)[2]
+    return _RookAndBishop(*(QuasiPolynomial(tuple(map(tuple, pair))) for pair in zip(*classes)))
 
 
 def anassa_quasipolynomial(k: int) -> QuasiPolynomial:
@@ -195,8 +193,10 @@ def _cmd_coeffs(args: SimpleNamespace) -> tuple[list[str], int]:
 
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
-    route = bishop_quasipolynomial if args.piece == "bishop" else anassa_quasipolynomial
-    qp = route(args.k)
+    if args.piece == "bishop":
+        qp = rook_and_bishop_quasipolynomials(args.k).bishop
+    else:
+        qp = anassa_quasipolynomial(args.k)
     period = effective_period(qp.coeffs)
     vectors = qp.coeffs[:period]
     if args.format == "json":

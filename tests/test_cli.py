@@ -17,17 +17,23 @@ import pytest
 from chesscount import (
     anassa_quasipolynomial,
     anassas_split,
-    bishop_quasipolynomial,
     board,
     cli,
     count,
     count_table,
     effective_period,
+    rook_and_bishop_quasipolynomials,
     verify,
 )
 from helpers import SRC, child_env, read_bfile, run_cli, uncapped
 
 ROOT = SRC.parent
+
+# Each piece's quasipolynomial for fixed k, the one that ``coeffs`` prints.
+QUASIPOLYNOMIALS = {
+    "bishop": lambda k: rook_and_bishop_quasipolynomials(k).bishop,
+    "anassa": anassa_quasipolynomial,
+}
 
 
 # --- count ---
@@ -107,10 +113,9 @@ def test_count_json_is_the_bytes_of_json_dumps(piece, m, k, below, capsys):
 @pytest.mark.parametrize("piece", ["bishop", "anassa"])
 def test_coeffs_json_is_the_bytes_of_json_dumps(piece, capsys):
     # k = 0..6 holds negative, whole-number and zero coefficients, and both periods.
-    quasipolynomial = bishop_quasipolynomial if piece == "bishop" else anassa_quasipolynomial
     for k in range(7):
         assert cli.main(["coeffs", piece, str(k), "--format", "json"]) == 0
-        coeffs = quasipolynomial(k).coeffs
+        coeffs = QUASIPOLYNOMIALS[piece](k).coeffs
         period = effective_period(coeffs)
         payload = {
             "piece": piece,
@@ -679,15 +684,12 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.parametrize(
-    "piece, quasipolynomial",
-    [("bishop", bishop_quasipolynomial), ("anassa", anassa_quasipolynomial)],
-)
-def test_large_board_count_fits_in_512_mib(piece, quasipolynomial):
+@pytest.mark.parametrize("piece", QUASIPOLYNOMIALS)
+def test_large_board_count_fits_in_512_mib(piece):
     # The closed form at m = 4000 against the quasipolynomial, a third route.
     result = run_cli("count", piece, "4000", "2", preexec_fn=_limit_address_space)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == f"{quasipolynomial(2).evaluate(4000)}\n".encode()
+    assert result.stdout == f"{QUASIPOLYNOMIALS[piece](2).evaluate(4000)}\n".encode()
 
 
 # --- verify ---

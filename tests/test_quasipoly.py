@@ -16,7 +16,6 @@ from chesscount import (
     anassa_quasipolynomial,
     anassas,
     binomial,
-    bishop_quasipolynomial,
     bishops,
     black_rooks,
     divide_by_falling_factorial,
@@ -158,21 +157,23 @@ def test_parity_classes_first_differ_where_pinned():
 
 
 def test_bishop_coeffs_frozen_vectors():
-    assert bishop_quasipolynomial(0).coeffs == ((1,), (1,))
-    assert bishop_quasipolynomial(1).coeffs == ((0, 0, 1), (0, 0, 1))
+    assert rook_and_bishop_quasipolynomials(0).bishop.coeffs == ((1,), (1,))
+    assert rook_and_bishop_quasipolynomials(1).bishop.coeffs == ((0, 0, 1), (0, 0, 1))
 
 
 def test_bishop_coeffs_match_interpolation():
     for k in (*range(13), 20):
-        bishop = bishop_quasipolynomial(k)
+        bishop = rook_and_bishop_quasipolynomials(k).bishop
         for par in (0, 1):
             assert list(bishop.coeffs[par]) == _interpolated(bishops, k, par), (k, par)
 
 
 def test_one_constructor_gives_every_rook_and_bishop_vector():
     for k in range(9):
-        white, black, bishop = rook_and_bishop_quasipolynomials(k)
-        assert bishop == bishop_quasipolynomial(k)
+        families = rook_and_bishop_quasipolynomials(k)
+        assert families._fields == ("white", "black", "bishop")
+        white, black, bishop = families
+        assert (families.white, families.black, families.bishop) == (white, black, bishop)
         for qp in (white, black, bishop):
             assert len(qp.coeffs) == 2
             assert {len(vec) for vec in qp.coeffs} == {2 * k + 1}
@@ -247,7 +248,8 @@ def test_class_vectors_equal_the_backward_recurrences_at_negative_board_sizes():
 
 def test_bishop_coeffs_leading_term():
     for k in range(6):
-        assert bishop_quasipolynomial(k).coeffs[0][2 * k] == Fraction(1, math.factorial(k))
+        bishop = rook_and_bishop_quasipolynomials(k).bishop
+        assert bishop.coeffs[0][2 * k] == Fraction(1, math.factorial(k))
 
 
 # --- anassa coefficients ---
@@ -320,7 +322,8 @@ def test_anassa_vectors_divisible_by_falling_factorial():
 
 
 def test_bishop_two_piece_vector_divisible():
-    assert divide_by_falling_factorial(bishop_quasipolynomial(2).coeffs[0], 2) == [
+    bishop = rook_and_bishop_quasipolynomials(2).bishop
+    assert divide_by_falling_factorial(bishop.coeffs[0], 2) == [
         Fraction(1, 3),
         Fraction(-1, 6),
         Fraction(1, 2),

@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 import re
+import sys
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chesscount import board, cli, formulas, kernel, quasipoly, rows, verify, verify_identities
+from chesscount import board, cli, formulas, kernel, poly, quasipoly, rows, verify, verify_identities
 from chesscount.verify import SUITES
 from chesscount.verify_board import suite_oracle
 from chesscount.verify_coeffs import suite_coeffs
@@ -335,8 +336,8 @@ def _shifted(qp):
 
 
 def _bishop_off(route, k):
-    white, black, bishop = route(k)
-    return white, black, _shifted(bishop)
+    families = route(k)
+    return families._replace(bishop=_shifted(families.bishop))
 
 
 # Each route whose value a handler prints: the module and name it is read
@@ -402,3 +403,48 @@ def test_verify_all_fails_on_a_wrong_printed_route(capsys, monkeypatch, module, 
     assert cli.main(argv.split()) == 0
     assert capsys.readouterr().out != right
     assert not all(r.ok for r in verify.run_suite(verify.check_bounds("all")))
+
+
+# Requests that print each route: both pieces, every format, negative m and
+# ``--below`` among them.
+PRINTING_REQUESTS = [
+    "count bishop 8 2", "count anassa 5 3", "count bishop -3 4", "count anassa -5 4",
+    "count anassa 5 3 --below 1", "count anassa -2 3 --below 1",
+    "table bishop 5", "table anassa 5", "table bishop 5 --format bfile",
+    "table anassa 5 --format json", "table bishop 5 --rect", "table anassa 5 --rect",
+    "coeffs bishop 3", "coeffs anassa 3",
+    "coeffs bishop 3 --format json", "coeffs anassa 3 --format json",
+]
+
+
+def _public_calls(run):
+    """The public functions of the route modules that ``run()`` calls, as ``module.name``."""
+    # The modules are imported above, so no frame here runs at import time.
+    # ``co_qualname`` is 3.11 and later: a function is known by ``co_name``.
+    modules = (formulas, rows, quasipoly, kernel, poly, board, verify_identities)
+    files = {module.__file__: module.__name__.rpartition(".")[2] for module in modules}
+    called = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename in files and code.co_name[0] not in "_<":
+            called.add(f"{files[code.co_filename]}.{code.co_name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def test_every_printed_route_is_one_verify_all_calls(capsys):
+    # Exempt, as in PRINTED_ROUTES: ``formulas.count``, the dispatcher that
+    # ``count`` prints, which verify never calls so that the two stay apart.
+    statuses = []
+    printed = _public_calls(lambda: statuses.extend(cli.main(a.split()) for a in PRINTING_REQUESTS))
+    assert statuses == [0] * len(PRINTING_REQUESTS), capsys.readouterr().err
+    assert {"formulas.count", "rows.count_table", "quasipoly.effective_period"} <= printed
+    verified = _public_calls(lambda: verify.run_suite(verify.check_bounds("all")))
+    assert printed - verified - {"formulas.count"} == set()
