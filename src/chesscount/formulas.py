@@ -76,17 +76,17 @@ def anassas(m: int, k: int) -> int:
     """Nonattacking k-anassa placements on the m x m board, closed form.
 
     Sum over j <= ceil(k/2) of (m-k+j)_j * S(m, m-k+j) * w(k, j), with the
-    weight w(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)).  The weight is
-    an integer: 2^(-1) arises only at odd k and j = (k+1)/2, where the
-    bracket is 1 + 1.  Defined for every integer m.
+    weight w(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)), by Pascal's rule
+    C(k-j, j) 2^(k-2j) + C(k-j, j-1) 2^(k-2j+1): integers alone, as C(k-j, j)
+    vanishes at k - 2j = -1.  Defined for every integer m.
     """
     if k < 0:
         raise ValueError(f"piece count must be >= 0, got {k}")
     total = 0
     # For m >= 0, S(m, m-k+j) vanishes for j < k - m.
     for j in range(max(0, k - m) if m >= 0 else 0, (k + 1) // 2 + 1):
-        bracket = binomial(k - j, j - 1) + binomial(k - j + 1, j)
-        weight = (bracket << (k - 2 * j + 1)) >> 1
+        shift = k - 2 * j
+        weight = (binomial(k - j, j) << max(shift, 0)) + (binomial(k - j, j - 1) << (shift + 1))
         total += falling_factorial(m - k + j, j) * stirling2(m, m - k + j) * weight
     return total
 

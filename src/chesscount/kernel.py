@@ -47,10 +47,13 @@ def falling_factorial(x: int, k: int) -> int:
 def _times_linear(row: list[int], c: int, scale: int, den: int) -> list[int]:
     # Weights over C(y, i) of scale * (y - c) * sum_i row[i] C(y, i) / den, by
     # (y - c) C(y, i) = (i + 1) C(y, i + 1) + (i - c) C(y, i); den must divide.
-    return [
-        scale * (i * lower + (i - c) * same) // den
-        for i, (lower, same) in enumerate(zip([0, *row], [*row, 0]))
-    ]
+    weights = []
+    for i, (lower, same) in enumerate(zip([0, *row], [*row, 0])):
+        w, r = divmod(scale * (i * lower + (i - c) * same), den)
+        if r:
+            raise ArithmeticError(f"weight {i} of the row times (y - {c}) is not a multiple of {den}")
+        weights.append(w)
+    return weights
 
 
 def _basis_change_rows(q: int, z: int, p_max: int) -> Iterator[list[int]]:
@@ -58,7 +61,7 @@ def _basis_change_rows(q: int, z: int, p_max: int) -> Iterator[list[int]]:
     # C(2x+z-q, p) * C(x, q) = sum_i w_i C(2x+z, i), times 4^q.
     # In y = 2x + z, 4^(s+1) C(x, s+1) = 4^s C(x, s) * 2(y - z - 2s) / (s + 1)
     # and C(y - q, t + 1) = C(y - q, t) * (y - q - t) / (t + 1); every row is
-    # integral, so each division is exact.
+    # integral, so each division is exact, as _times_linear checks.
     row = [1]
     for s in range(q):
         row = _times_linear(row, z + 2 * s, 2, s + 1)

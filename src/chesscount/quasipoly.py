@@ -67,31 +67,6 @@ def _bishop_from_rooks(
     return [Fraction(sum(column), den) for column in zip(*products)]
 
 
-def anassa_coeffs(k: int) -> list[Fraction]:
-    """Monomial coefficients of m -> anassas(m, k); parity-independent.
-
-    Weight of C(m, i) is sum over j of alpha(k, j) * sum over p of
-    A(p+k-j, p) * sum over b of C(p,b) C(k, j-b) C(b, k+p-i), where
-    alpha(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)) * j! is an integer
-    (2^(-1) arises only at odd k and j = (k+1)/2, where the bracket is 2).
-    With c = k+p-i, Vandermonde's identity folds the sum over b into
-    C(p, c) * C(p-c+k, j-c), so each (j, p) term is added once into every
-    i it reaches, for c = 0..min(p, j).
-    """
-    if k < 0:
-        raise ValueError(f"piece count must be >= 0, got {k}")
-    weights = [0] * (2 * k + 1)
-    for j in range((k + 1) // 2 + 1):
-        bracket = binomial(k - j, j - 1) + binomial(k - j + 1, j)
-        alpha = ((bracket << (k - 2 * j + 1)) >> 1) * math.factorial(j)
-        for p in range(k - j + 1):
-            block = alpha * assoc_stirling2(p + k - j, p)
-            for c in range(min(p, j) + 1):
-                weights[k + p - c] += block * math.comb(p, c) * math.comb(p - c + k, j - c)
-    den = math.factorial(2 * k)
-    return [Fraction(t, den) for t in _monomial_numerators(weights)]
-
-
 class QuasiPolynomial(namedtuple("QuasiPolynomial", "coeffs")):
     """A quasipolynomial with one monomial coefficient vector per residue.
 
@@ -148,8 +123,29 @@ def rook_and_bishop_quasipolynomials(k: int) -> _RookAndBishop:
 
 
 def anassa_quasipolynomial(k: int) -> QuasiPolynomial:
-    """The anassa count for fixed k as a plain polynomial in m."""
-    return QuasiPolynomial((tuple(anassa_coeffs(k)),))
+    """The anassa count for fixed k as a plain polynomial in m: one vector; ValueError if k < 0.
+
+    Weight of C(m, i) is sum over j of alpha(k, j) * sum over p of
+    A(p+k-j, p) * sum over b of C(p,b) C(k, j-b) C(b, k+p-i), where
+    alpha(k, j) = 2^(k-2j) * (C(k-j, j-1) + C(k-j+1, j)) * j!.  By Pascal's
+    rule it is (C(k-j, j) 2^(k-2j) + C(k-j, j-1) 2^(k-2j+1)) * j!, integers
+    alone, as C(k-j, j) is 0 at k - 2j = -1.  With c = k+p-i, Vandermonde's
+    identity folds the sum over b into C(p, c) * C(p-c+k, j-c), so each
+    (j, p) term is added once into every i it reaches, for c = 0..min(p, j).
+    """
+    if k < 0:
+        raise ValueError(f"piece count must be >= 0, got {k}")
+    weights = [0] * (2 * k + 1)
+    for j in range((k + 1) // 2 + 1):
+        shift = k - 2 * j
+        weight = (binomial(k - j, j) << max(shift, 0)) + (binomial(k - j, j - 1) << (shift + 1))
+        alpha = weight * math.factorial(j)
+        for p in range(k - j + 1):
+            block = alpha * assoc_stirling2(p + k - j, p)
+            for c in range(min(p, j) + 1):
+                weights[k + p - c] += block * math.comb(p, c) * math.comb(p - c + k, j - c)
+    den = math.factorial(2 * k)
+    return QuasiPolynomial((tuple(Fraction(t, den) for t in _monomial_numerators(weights)),))
 
 
 def effective_period(residue_vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -158,33 +154,6 @@ def effective_period(residue_vectors: Sequence[Sequence[Fraction]]) -> int:
         raise ValueError("need at least one residue vector")
     vecs = [tuple(v) for v in residue_vectors]
     return 1 if all(v == vecs[0] for v in vecs[1:]) else len(vecs)
-
-
-def divide_by_falling_factorial(
-    coeffs: Sequence[Fraction], k: int
-) -> list[Fraction]:
-    """Divide a polynomial (ascending coefficients) by m(m-1)...(m-k+1).
-
-    Synthetic division root by root at m = 0, 1, ..., k-1.  A nonzero
-    remainder at any root means the claimed divisibility fails; that is
-    reported by raising, never dropped.
-    """
-    if k < 0:
-        raise ValueError(f"falling factorial degree must be >= 0, got {k}")
-    current = [Fraction(c) for c in coeffs]
-    for root in range(k):
-        if len(current) < 2:
-            raise ArithmeticError(f"polynomial of degree {len(current) - 1} has no factor m - {root}")
-        acc = Fraction(0)
-        stages = []
-        for c in reversed(current):
-            acc = acc * root + c
-            stages.append(acc)
-        remainder = stages.pop()
-        if remainder:
-            raise ArithmeticError(f"nonzero remainder {remainder} dividing by m - {root}")
-        current = list(reversed(stages))
-    return current
 
 
 def _cmd_coeffs(args: SimpleNamespace) -> tuple[list[str], int]:

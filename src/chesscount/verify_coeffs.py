@@ -1,10 +1,36 @@
-"""The ``coeffs`` suite: quasipolynomial coefficient vectors against the closed forms."""
+"""The ``coeffs`` suite, and the falling-factorial division that only it reads."""
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import formulas, quasipoly
 from .verify import CheckResult
+
+
+def divide_by_falling_factorial(coeffs: Sequence[Fraction], k: int) -> list[Fraction]:
+    """Divide a polynomial (ascending coefficients) by m(m-1)...(m-k+1).
+
+    Synthetic division root by root at m = 0, 1, ..., k-1.  A nonzero
+    remainder at any root means the claimed divisibility fails; that is
+    reported by raising, never dropped.
+    """
+    if k < 0:
+        raise ValueError(f"falling factorial degree must be >= 0, got {k}")
+    current = [Fraction(c) for c in coeffs]
+    for root in range(k):
+        if len(current) < 2:
+            raise ArithmeticError(f"polynomial of degree {len(current) - 1} has no factor m - {root}")
+        acc = Fraction(0)
+        stages = []
+        for c in reversed(current):
+            acc = acc * root + c
+            stages.append(acc)
+        remainder = stages.pop()
+        if remainder:
+            raise ArithmeticError(f"nonzero remainder {remainder} dividing by m - {root}")
+        current = list(reversed(stages))
+    return current
 
 
 def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
@@ -42,7 +68,7 @@ def suite_coeffs(k_max: int = 4) -> list[CheckResult]:
         vec = anassa[k].coeffs[0]
         r.checks += 1
         try:
-            quasipoly.divide_by_falling_factorial(vec, k)
+            divide_by_falling_factorial(vec, k)
         except ArithmeticError as exc:
             r.failures.append(f"anassa k={k} not divisible by the falling factorial: {exc}")
         bound = math.factorial(2 * k) * 4**k

@@ -404,6 +404,15 @@ def test_out_failure_reports_path_and_cause(tmp_path, capsys):
     assert capsys.readouterr().err == f"cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["table", "bishop", "40"], ["count", "bishop", "8", "2"]])
+def test_out_on_a_full_device_reports_path_and_cause(argv):
+    # The file opens, and the write or the flush fails: nothing on stdout, no traceback.
+    done = run_cli(*argv, "--out", "/dev/full")
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.decode() == "cannot write /dev/full: No space left on device\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -152,15 +152,16 @@ def test_anassa_frozen_values():
 
 
 def test_anassa_weight_is_an_integer():
-    # anassas weighs term j by (bracket << (k - 2j + 1)) >> 1; the shift drops
-    # no bit, since at odd k the one half power, j = (k+1)/2, meets bracket 2.
+    # anassas weighs term j by C(k-j, j) 2^max(k-2j, 0) + C(k-j, j-1) 2^(k-2j+1),
+    # built from integers alone; by Pascal's rule it is the paper's
+    # (C(k-j, j-1) + C(k-j+1, j)) * 2^(k-2j), whose power is 2^-1 at odd k
+    # and j = (k+1)/2.  Both sides are doubled so that no side divides.
     for k in range(201):
         for j in range((k + 1) // 2 + 1):
+            shift = k - 2 * j
+            pascal = (binomial(k - j, j) << max(shift, 0)) + (binomial(k - j, j - 1) << (shift + 1))
             bracket = binomial(k - j, j - 1) + binomial(k - j + 1, j)
-            assert (bracket << (k - 2 * j + 1)) % 2 == 0, (k, j)
-        if k % 2:
-            j = (k + 1) // 2
-            assert binomial(k - j, j - 1) + binomial(k - j + 1, j) == 2, k
+            assert 2 * pascal == bracket << (shift + 1), (k, j)
 
 
 def test_anassa_one_piece_is_board_area():

@@ -242,3 +242,12 @@ def test_falling_factorial_rejects_negative_k():
 def test_falling_factorial_peels_one_step(x, k):
     assert falling_factorial(x, k) == x * falling_factorial(x - 1, k - 1)
 
+
+# --- basis-change rows ---
+
+
+def test_times_linear_refuses_a_division_that_is_not_exact():
+    # 2 * (y - 0) * C(y, 0) / 2 is y = C(y, 1): exact.  Halving it once more is not.
+    assert kernel._times_linear([1], 0, 2, 2) == [0, 1]
+    with pytest.raises(ArithmeticError):
+        kernel._times_linear([1], 0, 1, 2)

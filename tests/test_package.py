@@ -9,12 +9,14 @@ import pytest
 import chesscount
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SUBMODULES = ("board", "formulas", "kernel", "poly", "quasipoly", "rows", "verify_identities")
+SUBMODULES = (
+    "board", "formulas", "kernel", "poly", "quasipoly", "rows", "verify_coeffs", "verify_identities"
+)
 
 
 def test_every_public_name_is_its_submodules_object():
     modules = [importlib.import_module(f"chesscount.{name}") for name in SUBMODULES]
-    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 35
+    assert len(chesscount.__all__) == len(set(chesscount.__all__)) == 34
     for name in chesscount.__all__:
         value = getattr(chesscount, name)
         assert any(vars(module).get(name) is value for module in modules), name
@@ -58,6 +60,7 @@ def test_removed_wrappers_are_unreachable():
         "verify_collapse",
         "parity",
         "bishop_quasipolynomial",
+        "anassa_coeffs",
     ):
         assert not hasattr(chesscount, name), name
     assert not hasattr(formulas, "CountTable")

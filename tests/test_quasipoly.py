@@ -12,7 +12,6 @@ import pytest
 
 from chesscount import (
     QuasiPolynomial,
-    anassa_coeffs,
     anassa_quasipolynomial,
     anassas,
     binomial,
@@ -184,7 +183,7 @@ def test_one_constructor_rejects_negative_k():
     with pytest.raises(ValueError):
         rook_and_bishop_quasipolynomials(-1)
     with pytest.raises(ValueError, match="piece count must be >= 0"):
-        anassa_coeffs(-1)
+        anassa_quasipolynomial(-1)
 
 
 def test_quasipolynomials_match_the_row_recurrences_at_large_m():
@@ -256,18 +255,18 @@ def test_bishop_coeffs_leading_term():
 
 
 def test_anassa_coeffs_frozen_vectors():
-    assert anassa_coeffs(0) == [Fraction(1)]
-    assert anassa_coeffs(1) == [Fraction(0), Fraction(0), Fraction(1)]
+    assert anassa_quasipolynomial(0).coeffs[0] == (Fraction(1),)
+    assert anassa_quasipolynomial(1).coeffs[0] == (Fraction(0), Fraction(0), Fraction(1))
 
 
 def test_anassa_coeffs_match_interpolation():
     for k in (*range(13), 20):
-        assert anassa_coeffs(k) == _interpolated(anassas, k, 0, step=1), k
+        assert list(anassa_quasipolynomial(k).coeffs[0]) == _interpolated(anassas, k, 0, step=1), k
 
 
 def test_anassa_coeffs_leading_term():
     for k in range(7):
-        assert anassa_coeffs(k)[2 * k] == Fraction(1, math.factorial(k))
+        assert anassa_quasipolynomial(k).coeffs[0][2 * k] == Fraction(1, math.factorial(k))
 
 
 def test_anassa_single_vector_serves_both_parities():
@@ -313,7 +312,7 @@ def test_evaluate_matches_term_by_term_sum():
 
 def test_anassa_vectors_divisible_by_falling_factorial():
     for k in range(6):
-        quotient = divide_by_falling_factorial(anassa_coeffs(k), k)
+        quotient = divide_by_falling_factorial(anassa_quasipolynomial(k).coeffs[0], k)
         assert len(quotient) == k + 1
         # Reassemble: quotient * (m)_k must reproduce the counts.
         for m in range(2 * k + 5):

@@ -17,7 +17,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from chesscount import board, cli, formulas, kernel, poly, quasipoly, rows, verify, verify_identities
+from chesscount import (
+    board, cli, formulas, kernel, poly, quasipoly, rows, verify, verify_coeffs, verify_identities
+)
 from chesscount.verify import SUITES
 from chesscount.verify_board import suite_oracle
 from chesscount.verify_coeffs import suite_coeffs
@@ -284,7 +286,7 @@ def test_rook_round_trip_names_the_broken_color(monkeypatch):
 
 
 def test_coefficient_structure_names_the_broken_k(monkeypatch):
-    divide, anassa = quasipoly.divide_by_falling_factorial, quasipoly.anassa_quasipolynomial
+    divide, anassa = verify_coeffs.divide_by_falling_factorial, quasipoly.anassa_quasipolynomial
 
     def indivisible_at_k2(vec, k):
         if k == 2:
@@ -299,12 +301,12 @@ def test_coefficient_structure_names_the_broken_k(monkeypatch):
         vec = tuple(c + Fraction((i == 2) - (i == 1), 5) for i, c in enumerate(qp.coeffs[0]))
         return qp if k != 2 else SimpleNamespace(coeffs=(vec,), evaluate=qp.evaluate)
 
-    for name, patch, want in (
-        ("divide_by_falling_factorial", indivisible_at_k2, "anassa k=2 not divisible"),
-        ("anassa_quasipolynomial", skewed_at_k2, "k=2: denominators"),
+    for module, name, patch, want in (
+        (verify_coeffs, "divide_by_falling_factorial", indivisible_at_k2, "anassa k=2 not divisible"),
+        (quasipoly, "anassa_quasipolynomial", skewed_at_k2, "k=2: denominators"),
     ):
         with monkeypatch.context() as patched:
-            patched.setattr(quasipoly, name, patch)
+            patched.setattr(module, name, patch)
             group = next(r for r in suite_coeffs(3) if r.name.startswith("coefficient structure"))
         assert len(group.failures) == 1 and group.failures[0].startswith(want), group.failures
 
@@ -417,11 +419,11 @@ PRINTING_REQUESTS = [
 ]
 
 
-def _public_calls(run):
-    """The public functions of the route modules that ``run()`` calls, as ``module.name``."""
-    # The modules are imported above, so no frame here runs at import time.
-    # ``co_qualname`` is 3.11 and later: a function is known by ``co_name``.
-    modules = (formulas, rows, quasipoly, kernel, poly, board, verify_identities)
+def _public_calls(run, modules=(formulas, rows, quasipoly, kernel, poly, board, verify_identities)):
+    """The public functions of ``modules`` that ``run()`` calls, as ``module.name``."""
+    # The modules are imported before the call, so no frame here runs at
+    # import time.  ``co_qualname`` is 3.11 and later: a function is known
+    # by ``co_name``.
     files = {module.__file__: module.__name__.rpartition(".")[2] for module in modules}
     called = set()
 
@@ -448,3 +450,28 @@ def test_every_printed_route_is_one_verify_all_calls(capsys):
     assert {"formulas.count", "rows.count_table", "quasipoly.effective_period"} <= printed
     verified = _public_calls(lambda: verify.run_suite(verify.check_bounds("all")))
     assert printed - verified - {"formulas.count"} == set()
+
+
+def test_every_public_function_of_a_handler_home_is_one_a_request_calls(capsys):
+    # A request compiles the whole home module of its handler, so a public
+    # function there that no request calls is compiled for nothing: it
+    # belongs in the module that reads it.  Classes and their methods are
+    # exempt.  The homes are read from the grammar, so they follow a handler
+    # that moves.
+    homes = {
+        importlib.import_module(f"chesscount.{cli.GRAMMAR[command][0]}")
+        for command in ("count", "table", "coeffs")
+    }
+    statuses = []
+    called = _public_calls(
+        lambda: statuses.extend(cli.main(a.split()) for a in PRINTING_REQUESTS), homes
+    )
+    assert statuses == [0] * len(PRINTING_REQUESTS), capsys.readouterr().err
+    defined = {
+        f"{home.__name__.rpartition('.')[2]}.{name}"
+        for home in homes
+        for name, value in vars(home).items()
+        if inspect.isfunction(value) and value.__module__ == home.__name__ and name[0] != "_"
+    }
+    assert {"formulas.count", "rows.count_table", "quasipoly.effective_period"} <= defined
+    assert defined - called == set()
