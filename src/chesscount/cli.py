@@ -14,7 +14,9 @@ for every other argv, so argparse loads only for help, usage errors and
 refusals.  Each handler sits in the module that its ``GRAMMAR`` entry
 names, beside the routes it runs, and ``main`` loads only that module, so
 a request compiles no other handler.  A handler refuses by raising
-``_UsageError`` or returns its text and exit status; ``main`` alone writes.
+``_UsageError`` or returns its exit status and either text or a payload,
+a dict that ``_render``, the one place that knows how csv, tsv and json
+look, turns into text; ``main`` alone writes.
 ``run`` is the process entry: ``python -m chesscount`` and the installed
 ``chesscount`` script, the only two entries, both call it.
 """
@@ -23,7 +25,7 @@ import gc
 import importlib
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from types import SimpleNamespace
 
@@ -174,7 +176,8 @@ def _emit(chunks: Iterable[str], out: str | None) -> int:
         if out is None:
             # Python flushes stdout again at exit, so its descriptor goes to
             # the null device to keep that flush quiet.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
             if isinstance(exc, BrokenPipeError):
                 return 1
         reason = exc.strerror or exc
@@ -186,8 +189,9 @@ def _emit(chunks: Iterable[str], out: str | None) -> int:
 def _json(value: object) -> str:
     """``json.dumps(value)`` for the values this CLI writes, without loading ``json``.
 
-    Those are ints, bools, lists, tuples, dicts and strings that need no
-    escape: the keys, the piece names and ``n/d`` fractions.
+    Those are ints, bools, lists, tuples, dicts, strings that need no escape
+    (the keys and the piece names), and fractions, written ``"n/d"``: any
+    value with a ``denominator`` that is not an int or a bool, which have one too.
     """
     if type(value) is int:  # first, as table rows hold thousands; a bool is not one
         return str(value)
@@ -197,7 +201,30 @@ def _json(value: object) -> str:
         return "{" + ", ".join(f'"{key}": {_json(item)}' for key, item in value.items()) + "}"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if hasattr(value, "denominator"):
+        return f'"{value.numerator}/{value.denominator}"'
     return f'"{value}"'
+
+
+def _render(fmt: str, payload: dict) -> Iterator[str]:
+    """A handler's payload as csv, tsv or json text, in chunks.
+
+    Its last value is the data: an int, one line, or rows of values, one
+    line or json chunk each, so rows are made as they are written.
+    """
+    last, data = next(reversed(payload.items()))
+    if type(data) is int:
+        yield (_json(payload) if fmt == "json" else str(data)) + "\n"
+    elif fmt == "json":
+        yield _json({**payload, last: ()})[:-2]  # up to the open bracket of the data
+        separator = ""
+        for row in data:
+            yield separator + _json(row)
+            separator = ", "
+        yield "]}\n"
+    else:
+        for row in data:
+            yield _SEPARATORS[fmt].join(map(str, row)) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -215,7 +242,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        chunks, status = handler(args)  # a refusal raises here, before any write
+        result, status = handler(args)  # a refusal raises here, before any write
+        chunks = _render(args.format, result) if isinstance(result, dict) else result
         return _emit(chunks, args.out) or status
     except _UsageError as exc:
         # argparse reads the argv again only to report the refusal with the

@@ -100,24 +100,19 @@ def count(piece: str, m: int, k: int) -> int:
     raise ValueError(f"unknown piece {piece!r}")
 
 
-def _cmd_count(args: SimpleNamespace) -> tuple[list[str], int]:
-    """The ``count`` handler, found through ``cli.GRAMMAR``: the text to print, and status 0."""
-    from .cli import _json, _UsageError
+def _cmd_count(args: SimpleNamespace) -> tuple[dict, int]:
+    """The ``count`` handler, found through ``cli.GRAMMAR``: the payload to print, and status 0."""
+    from .cli import _UsageError
 
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
-    if args.below is not None:
-        if args.piece != "anassa":
-            raise _UsageError("--below applies only to the anassa")
-        if args.below < 0:
-            raise _UsageError(f"--below must be >= 0, got {args.below}")
-        value = anassas_split(args.m, args.k, args.below)
+    payload = {"piece": args.piece, "m": args.m, "k": args.k}
+    if args.below is None:
+        payload["count"] = count(args.piece, args.m, args.k)
+    elif args.piece != "anassa":
+        raise _UsageError("--below applies only to the anassa")
+    elif args.below < 0:
+        raise _UsageError(f"--below must be >= 0, got {args.below}")
     else:
-        value = count(args.piece, args.m, args.k)
-    if args.format == "json":
-        payload = {"piece": args.piece, "m": args.m, "k": args.k}
-        if args.below is not None:
-            payload["below"] = args.below
-        payload["count"] = value
-        return [_json(payload) + "\n"], 0
-    return [f"{value}\n"], 0
+        payload.update(below=args.below, count=anassas_split(args.m, args.k, args.below))
+    return payload, 0

@@ -156,9 +156,9 @@ def effective_period(residue_vectors: Sequence[Sequence[Fraction]]) -> int:
     return 1 if all(v == vecs[0] for v in vecs[1:]) else len(vecs)
 
 
-def _cmd_coeffs(args: SimpleNamespace) -> tuple[list[str], int]:
-    """The ``coeffs`` handler, found through ``cli.GRAMMAR``: the text to print, and status 0."""
-    from .cli import _SEPARATORS, _json, _UsageError
+def _cmd_coeffs(args: SimpleNamespace) -> tuple[dict, int]:
+    """The ``coeffs`` handler, found through ``cli.GRAMMAR``: the payload to print, and status 0."""
+    from .cli import _UsageError
 
     if args.k < 0:
         raise _UsageError(f"k must be >= 0, got {args.k}")
@@ -167,14 +167,4 @@ def _cmd_coeffs(args: SimpleNamespace) -> tuple[list[str], int]:
     else:
         qp = anassa_quasipolynomial(args.k)
     period = effective_period(qp.coeffs)
-    vectors = qp.coeffs[:period]
-    if args.format == "json":
-        payload = {
-            "piece": args.piece,
-            "k": args.k,
-            "period": period,
-            "coeffs": [[f"{c.numerator}/{c.denominator}" for c in vec] for vec in vectors],
-        }
-        return [_json(payload) + "\n"], 0
-    sep = _SEPARATORS[args.format]
-    return [sep.join(map(str, vec)) + "\n" for vec in vectors], 0
+    return {"piece": args.piece, "k": args.k, "period": period, "coeffs": qp.coeffs[:period]}, 0

@@ -115,22 +115,9 @@ def _table_bfile(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iter
         offset += len(row)
 
 
-def _table_json(args: SimpleNamespace, rows: Iterable[tuple[int, ...]]) -> Iterator[str]:
-    """``json.dumps`` of the table's payload and a newline, in one chunk per row."""
-    from .cli import _json
-
-    head = {"piece": args.piece, "m_max": args.m_max, "rect": args.rect, "rows": []}
-    yield _json(head)[:-2]  # up to the open bracket of the rows
-    separator = ""
-    for row in rows:
-        yield separator + _json(row)
-        separator = ", "
-    yield "]}\n"
-
-
-def _cmd_table(args: SimpleNamespace) -> tuple[Iterator[str], int]:
-    """The ``table`` handler, found through ``cli.GRAMMAR``: rows made as written, and 0."""
-    from .cli import _SEPARATORS, _UsageError
+def _cmd_table(args: SimpleNamespace) -> tuple[dict | Iterator[str], int]:
+    """The ``table`` handler, found through ``cli.GRAMMAR``: the payload or bfile text, and 0."""
+    from .cli import _UsageError
 
     if args.m_max < 0:
         raise _UsageError(f"m_max must be >= 0, got {args.m_max}")
@@ -140,9 +127,6 @@ def _cmd_table(args: SimpleNamespace) -> tuple[Iterator[str], int]:
     if args.rect:  # zeros up to the width of the last row
         top = max_pieces(args.piece, args.m_max)
         rows = (row + (0,) * (top - len(row) + 1) for row in rows)
-    if args.format == "json":
-        return _table_json(args, rows), 0
     if args.format == "bfile":
         return _table_bfile(args, rows), 0
-    sep = _SEPARATORS[args.format]
-    return (sep.join(map(str, row)) + "\n" for row in rows), 0
+    return {"piece": args.piece, "m_max": args.m_max, "rect": args.rect, "rows": rows}, 0

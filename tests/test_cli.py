@@ -242,6 +242,20 @@ def test_closed_pipe_exits_1_without_a_traceback(fmt, unbuffered):
     assert b"Traceback" not in stderr, stderr.decode()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd on this system")
+def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    # stdout is this test's own pipe, never the process's descriptor 1.  The
+    # write fails on the closed reader, and the null device put in the pipe's
+    # place must not stay open as a descriptor of its own.
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        assert cli.main(["count", "bishop", "8", "2"]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize(
     "argv",
@@ -344,9 +358,9 @@ def test_every_launch_calls_the_one_entry():
 
 
 def test_cli_main_alone_writes():
-    # Each handler returns its text and exit status, and ``cli.main`` writes
-    # them with the one call of ``_emit``: no other module imports or calls
-    # it, or reads the ``--out`` target.
+    # Each handler returns a payload or its text, and its exit status, and
+    # ``cli.main`` writes them with the one call of ``_emit``: no other module
+    # imports or calls it, or reads the ``--out`` target.
     emits, outs = [], []
     for path in sorted((SRC / "chesscount").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -359,6 +373,16 @@ def test_cli_main_alone_writes():
                 outs.append(path.name)
     assert emits == ["cli.py"]
     assert set(outs) == {"cli.py"}
+
+
+def test_cli_alone_knows_how_the_formats_look():
+    # A handler returns a payload or its text; ``cli._render`` alone writes
+    # csv, tsv and json, so no handler's module names the writer or the separators.
+    for home, _, _ in cli.GRAMMAR.values():
+        tree = ast.parse((SRC / "chesscount" / f"{home}.py").read_text())
+        names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        assert names.isdisjoint({"_json", "_SEPARATORS"}), home
 
 
 # --- coeffs ---
@@ -386,6 +410,23 @@ def test_coeffs_json_is_pinned_up_to_k_40(capsys, piece, k):
     assert cli.main(["coeffs", piece, str(k), "--format", "json"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == COEFFS_SHA256[piece, k]
+
+
+# --- the benchmark's requests ---
+
+
+def bench_pins():
+    """Each request the benchmark issues, as its argv line, and the SHA-256 of its stdout."""
+    return json.loads((ROOT / "bench" / "pins.json").read_text())["pins"]
+
+
+def test_every_benchmark_request_prints_its_pinned_bytes(capsys):
+    # The benchmark compares each child's stdout with its pin; run here
+    # in-process, a changed byte fails this test before any benchmark run.
+    for line, digest in bench_pins().items():
+        assert cli.main(line.split()) == 0, line
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, line
 
 
 # --- output redirection ---
@@ -507,8 +548,7 @@ def argparse_fields(parser, argv):
 
 def test_reader_reads_every_benchmark_request_as_argparse_does():
     parser = cli.build_parser()
-    pins = json.loads((ROOT / "bench" / "pins.json").read_text())["pins"]
-    for line in pins:
+    for line in bench_pins():
         request = cli._read(line.split())
         assert request is not None, line
         assert vars(request) == argparse_fields(parser, line.split()), line
